@@ -289,12 +289,11 @@ fn bench_codec_10k(c: &mut Criterion) {
 
 /// The observability overhead claims, measured head-on. The same warm
 /// MTO walk as `walker-steps/mto-warm-1k`, once recording each step
-/// into an enabled histogram (with a span per batch — the granularity
-/// the fleet actually instruments at), and once against the disabled
-/// `Option` sink the serving stack checks when no `trace`/`metrics`
-/// directive is present; plus the quality plane's enabled cost on the
-/// serve path. The disabled numbers must sit within noise of their
-/// PR-9 baselines — that comparison is what `BENCH_10.json` records
+/// into a histogram (with a span per batch — the granularity the fleet
+/// actually instruments at), and once against an `Option` sink that is
+/// always `None` — the no-instrumentation floor; plus the quality
+/// plane's cost on the serve path. The floor must sit within noise of
+/// its PR-9 baseline — that comparison is what `BENCH_10.json` records
 /// (the always-on `ScanProbe` is part of both sides).
 fn bench_obs_overhead(c: &mut Criterion) {
     use mto_obs::{Histogram, TraceSink};
@@ -337,11 +336,11 @@ fn bench_obs_overhead(c: &mut Criterion) {
         })
     });
 
-    // The quality plane's enabled cost at the granularity the fleet pays
-    // it: advance a serve-path session one quantum, drain the fresh
-    // degree series through the cursor observer, and feed the streaming
+    // The quality plane's cost at the granularity the fleet pays it:
+    // advance a serve-path session one quantum, drain the fresh degree
+    // series through the cursor observer, and feed the streaming
     // estimators — head-to-head against `session-mto-warm-1k`, which is
-    // the identical walk with the plane off.
+    // the identical walk without the estimators.
     use mto_obs::quality::QualityAccumulator;
     use mto_serve::session::SampleObserver;
     let shared = SharedClient::new(warm_client(&graph));
@@ -384,13 +383,10 @@ criterion_group!(
 
 /// Pre-PR baseline: the `BENCH_9.json` measurements, taken on the same
 /// container at the PR-9 commit (`cargo bench --bench bench_hotpath`).
-/// The overhead gate this PR carries: the quality estimators are
-/// compiled into the serving stack, so `session-mto-warm-1k` (quality
-/// plane off — the default) staying within noise of this figure is the
-/// evidence the quality plane costs nothing until a `quality` directive
-/// enables it; `session-mto-warm-1k-quality` (new, no baseline) prices
-/// the enabled plane at fleet granularity — one drain + estimator feed
-/// per quantum.
+/// The overhead gate: `session-mto-warm-1k` (the walk without the
+/// quality estimators) staying within noise of this figure, while
+/// `session-mto-warm-1k-quality` (no baseline) prices the quality plane
+/// at fleet granularity — one drain + estimator feed per quantum.
 fn baseline() -> BTreeMap<String, f64> {
     [
         ("hotpath/walker-steps/srw-warm-1k", 20_378.4),

@@ -201,7 +201,6 @@ pub fn run(config: &QualityConfig) -> (QualityResult, ExperimentReport) {
                 shards,
                 epoch_quantum: config.epoch_quantum,
                 fleet_budget: Some(fleet_budget),
-                quality: true,
                 ..Default::default()
             },
         )
@@ -242,7 +241,7 @@ pub fn run(config: &QualityConfig) -> (QualityResult, ExperimentReport) {
             }
         }
         let report = verdict_report.expect("verdict_shards must be in shard_counts");
-        let quality = report.quality.as_ref().expect("quality was requested");
+        let quality = &report.quality;
         let ledger = report.ledger.as_ref().expect("the run was budgeted");
         arms.push(QualityArm {
             algo,

@@ -17,20 +17,23 @@
 //!   carries `budget N` and/or per-job `deadline=` fields — the QoS
 //!   surface: admission verdicts, the budget-ledger split/rebalance
 //!   accounting, and per-job `deadline-met` flags (`policy edf`
-//!   schedules quanta earliest-deadline-first). A `metrics` directive
+//!   schedules quanta earliest-deadline-first). Every run collects all
+//!   three observability planes — the deterministic metrics/trace
+//!   plane, the wall-clock plane, and the estimator-quality plane — and
+//!   the directives choose what is written or rendered: `metrics`
 //!   appends the mto-obs summary (shard-invariant `metric` lines plus
-//!   `timing` lines), and `trace FILE` writes the deterministic
-//!   `mto-trace/v1` span/point record — feed it to `trace2flame` for a
-//!   collapsed-stack profile over virtual time. A `prom FILE` directive
-//!   enables the wall-clock telemetry plane (per-phase wall time across
-//!   shard service, barrier waits, gossip merges, pipeline replay,
-//!   scheduler workers, and history encode/decode) and writes a
-//!   Prometheus text-exposition snapshot of the metrics and wall
-//!   registries — the run's only output that varies run to run; report
-//!   bodies, traces, and `metric` lines are byte-identical with or
-//!   without it (join the two planes with `trace2gap`). Build with
-//!   `--features wall-alloc` to add per-phase allocation counts/bytes
-//!   to the snapshot.
+//!   `timing` lines), `quality` adds its `metric quality-*` lines,
+//!   `trace FILE` writes the deterministic `mto-trace/v2` span/point
+//!   record — feed it to `trace2flame` for a collapsed-stack profile
+//!   over virtual time — and `prom FILE` writes a Prometheus
+//!   text-exposition snapshot of the metrics, quality, and wall-clock
+//!   planes (per-phase wall time across shard service, barrier waits,
+//!   gossip merges, pipeline replay, scheduler workers, and history
+//!   encode/decode). The snapshot is the run's only output that varies
+//!   run to run; report bodies, traces, and `metric` lines are
+//!   byte-identical with or without it (join the two planes with
+//!   `trace2gap`). Build with `--features wall-alloc` to add per-phase
+//!   allocation counts/bytes to the snapshot.
 //! * `snapshot` runs the request's **first** job for `--at` steps as a
 //!   [`SamplerSession`], then freezes it (network spec included) to
 //!   `--to`. Fleet directives (`shards` / `epochs`) describe a whole
@@ -59,7 +62,7 @@ use mto_osn::{CachedClient, OsnService, SharedClient, SocialNetworkInterface, Vi
 use mto_serve::error::ServeError;
 use mto_serve::history::HistoryStore;
 use mto_serve::journal::{HistoryJournal, JournalRecovery};
-use mto_serve::request::{NetworkSpec, ServeRequest};
+use mto_serve::request::{directive_line, NetworkSpec, ServeRequest};
 use mto_serve::scheduler::{fold_quality, JobOutcome, JobScheduler, ServeReport};
 use mto_serve::session::{SamplerSession, SessionSnapshot};
 
@@ -161,10 +164,9 @@ fn cmd_run(args: &[String]) -> Result<(), Invocation> {
     let (request_path, flags) = parse_flags(args, &["out"])?;
     let request = read_request(&request_path)?;
 
-    // The `prom` directive turns on the wall plane; phases observed at
-    // this process level (history codec work) accumulate here and merge
-    // with whatever the run itself collected before the snapshot writes.
-    let wall_on = request.prom.is_some();
+    // Wall phases observed at this process level (history codec work)
+    // accumulate here and merge with the run's own before the `prom`
+    // snapshot writes.
     let mut process_wall = WallClockRegistry::new();
 
     // Prior history: a warm-start snapshot, or the journal's replayed
@@ -174,11 +176,9 @@ fn cmd_run(args: &[String]) -> Result<(), Invocation> {
         None => None,
     };
     let prior: Option<HistoryStore> = if let Some(path) = &request.warm_start {
-        let timer = wall_on.then(WallClockScope::start);
+        let timer = WallClockScope::start();
         let store = HistoryStore::load(path)?;
-        if let Some(timer) = timer {
-            timer.stop_into(&mut process_wall, WallKey::phase("history-decode"));
-        }
+        timer.stop_into(&mut process_wall, WallKey::phase("history-decode"));
         eprintln!(
             "warm-starting from {} ({} cached responses)",
             path.display(),
@@ -203,17 +203,15 @@ fn cmd_run(args: &[String]) -> Result<(), Invocation> {
         })
     };
 
-    let (mut body, final_store, plane) = match request.shards {
+    let (mut body, final_store, mut planes) = match request.shards {
         Some(shards) => run_fleet(&request, shards, prior)?,
         None => run_scheduler(&request, prior)?,
     };
 
     if let Some(path) = &request.save_history {
-        let timer = wall_on.then(WallClockScope::start);
+        let timer = WallClockScope::start();
         final_store.save(path)?;
-        if let Some(timer) = timer {
-            timer.stop_into(&mut process_wall, WallKey::phase("history-encode"));
-        }
+        timer.stop_into(&mut process_wall, WallKey::phase("history-encode"));
         eprintln!(
             "saved history ({} cached responses) to {}",
             final_store.num_responses(),
@@ -235,29 +233,22 @@ fn cmd_run(args: &[String]) -> Result<(), Invocation> {
         .expect("string write");
     }
     if let Some(path) = &request.prom {
-        let mut plane = plane.unwrap_or_default();
-        plane.wall.merge(&process_wall);
-        std::fs::write(
-            path,
-            mto_obs::prom::render(plane.metrics.as_ref(), plane.quality.as_ref(), &plane.wall),
-        )
-        .map_err(ServeError::from)?;
+        planes.wall.merge(&process_wall);
+        std::fs::write(path, mto_obs::prom::render(&planes.metrics, &planes.quality, &planes.wall))
+            .map_err(ServeError::from)?;
         // A stderr note, like the trace write: report bodies (and their
         // CI diffs) stay byte-identical whether `prom` is present.
-        eprintln!("wrote prom snapshot ({} wall keys) to {}", plane.wall.len(), path.display());
+        eprintln!("wrote prom snapshot ({} wall keys) to {}", planes.wall.len(), path.display());
     }
     emit(&body, flags.get("out"))?;
     Ok(())
 }
 
-/// What the `prom` directive snapshots: the run's metrics registry
-/// (when the run built one), the estimator-quality report (when the
-/// request carried the `quality` directive), plus the wall-clock
-/// registry.
-#[derive(Default)]
-struct WallPlane {
-    metrics: Option<MetricsRegistry>,
-    quality: Option<QualityReport>,
+/// What the `prom` directive snapshots: the run's metrics registry,
+/// its estimator-quality report, and its wall-clock registry.
+struct Planes {
+    metrics: MetricsRegistry,
+    quality: QualityReport,
     wall: WallClockRegistry,
 }
 
@@ -278,36 +269,33 @@ fn open_journal(path: &Path) -> Result<(HistoryJournal, JournalRecovery), ServeE
 fn run_scheduler(
     request: &ServeRequest,
     prior: Option<HistoryStore>,
-) -> Result<(String, HistoryStore, Option<WallPlane>), ServeError> {
+) -> Result<(String, HistoryStore, Planes), ServeError> {
     let service = OsnService::with_defaults(&request.network.build());
-    let mut wall = request.prom.is_some().then(WallClockRegistry::new);
     let (report, store, obs) = match request.provider {
         Some(profile) => {
             let timed = TimedInterface::new(service, profile, 0x5EED);
             let clock = timed.clock().clone();
-            execute(timed, request, prior, Some(clock), wall.as_mut())?
+            execute(timed, request, prior, Some(clock))?
         }
-        None => execute(service, request, prior, None, wall.as_mut())?,
+        None => execute(service, request, prior, None)?,
     };
-    let mut body = render_report(request, &report, obs.quality.as_ref());
+    let mut body = render_report(request, &report, &obs.quality);
     if request.metrics {
-        render_scheduler_metrics(&mut body, &report, &obs);
+        render_scheduler_metrics(&mut body, request, &report, &obs);
     }
     if let Some(path) = &request.trace {
         write_trace(path, &scheduler_trace(&report, &obs.quanta))?;
     }
     // The single-client path renders its metrics straight off the
     // client; the prom snapshot rebuilds the same deterministic figures
-    // as a registry so both planes export through one writer.
-    let plane = wall.map(|wall| {
-        let mut metrics = MetricsRegistry::new();
-        metrics.inc("walk-steps", report.outcomes.iter().map(|o| o.steps as u64).sum());
-        metrics.inc("unique-queries", obs.unique_queries);
-        metrics.inc("total-lookups", obs.total_lookups);
-        metrics.inc("transient-retries", obs.transient_retries);
-        WallPlane { metrics: Some(metrics), quality: obs.quality.clone(), wall }
-    });
-    Ok((body, store, plane))
+    // as a registry so every plane exports through one writer.
+    let mut metrics = MetricsRegistry::new();
+    metrics.inc("walk-steps", report.outcomes.iter().map(|o| o.steps as u64).sum());
+    metrics.inc("unique-queries", obs.unique_queries);
+    metrics.inc("total-lookups", obs.total_lookups);
+    metrics.inc("transient-retries", obs.transient_retries);
+    let planes = Planes { metrics, quality: obs.quality, wall: report.wall };
+    Ok((body, store, planes))
 }
 
 /// Client counters and planner quanta the single-client path surfaces
@@ -320,11 +308,10 @@ struct SchedulerObs {
     transient_retries: u64,
     arena_rewrites_in_place: u64,
     arena_leaked_ids: u64,
-    /// Estimator-quality figures (`Some` iff the request carried the
-    /// `quality` directive), folded post-hoc from the full walk
+    /// Estimator-quality figures, folded post-hoc from the full walk
     /// histories — the single-client path never stops early, so an
     /// `ess=` SLO here is judged at the end of the budget.
-    quality: Option<QualityReport>,
+    quality: QualityReport,
 }
 
 /// Builds the scheduler (cold or warm-started), runs the jobs, and
@@ -335,7 +322,6 @@ fn execute<I: SocialNetworkInterface + Send + Sync>(
     request: &ServeRequest,
     prior: Option<HistoryStore>,
     clock: Option<VirtualClock>,
-    wall: Option<&mut WallClockRegistry>,
 ) -> Result<(ServeReport, HistoryStore, SchedulerObs), ServeError> {
     let mut scheduler = match &prior {
         Some(store) => JobScheduler::warm_start(service, store, request.scheduler)?,
@@ -345,10 +331,8 @@ fn execute<I: SocialNetworkInterface + Send + Sync>(
         scheduler = scheduler.with_virtual_clock(clock);
     }
     let quanta = scheduler.planned_quanta(&request.jobs);
-    let report = scheduler.run_instrumented(request.jobs.clone(), wall)?;
-    let quality = request
-        .quality
-        .then(|| fold_quality(scheduler.client(), &request.jobs, &report.outcomes).report());
+    let report = scheduler.run(request.jobs.clone())?;
+    let quality = fold_quality(scheduler.client(), &request.jobs, &report.outcomes).report();
     let (store, obs) = scheduler.client().with(|c| {
         (
             HistoryStore::from_client(c),
@@ -420,7 +404,12 @@ fn render_walker_metrics(out: &mut String, outcomes: &[JobOutcome]) {
 
 /// Metrics summary of a single-client run (`metrics` directive). One
 /// client means one plane: every line is deterministic.
-fn render_scheduler_metrics(out: &mut String, report: &ServeReport, obs: &SchedulerObs) {
+fn render_scheduler_metrics(
+    out: &mut String,
+    request: &ServeRequest,
+    report: &ServeReport,
+    obs: &SchedulerObs,
+) {
     use std::fmt::Write;
     let steps: u64 = report.outcomes.iter().map(|o| o.steps as u64).sum();
     writeln!(out, "# metrics").expect("string write");
@@ -443,8 +432,8 @@ fn render_scheduler_metrics(out: &mut String, report: &ServeReport, obs: &Schedu
     // exists so the baseline gate watches it anyway.
     writeln!(out, "metric trace-underflows 0").expect("string write");
     render_walker_metrics(out, &report.outcomes);
-    if let Some(quality) = &obs.quality {
-        quality.render_metric_lines(out);
+    if request.quality {
+        obs.quality.render_metric_lines(out);
     }
 }
 
@@ -458,7 +447,7 @@ fn run_fleet(
     request: &ServeRequest,
     shards: usize,
     prior: Option<HistoryStore>,
-) -> Result<(String, HistoryStore, Option<WallPlane>), ServeError> {
+) -> Result<(String, HistoryStore, Planes), ServeError> {
     let service = Arc::new(OsnService::with_defaults(&request.network.build()));
     let max_budget = request.jobs.iter().map(|j| j.step_budget).max().unwrap_or(0);
     let target_epochs = request.epochs.unwrap_or(4).max(1);
@@ -469,12 +458,6 @@ fn run_fleet(
         provider: request.provider,
         policy: request.scheduler.policy,
         fleet_budget: request.scheduler.global_query_budget,
-        // `prom` wants the metrics families in its snapshot, so it
-        // implies obs; enabling obs never changes results (the fleet's
-        // own tests pin that).
-        obs: request.trace.is_some() || request.metrics || request.prom.is_some(),
-        wall: request.prom.is_some(),
-        quality: request.quality,
         ..Default::default()
     };
     let mut fleet = FleetCoordinator::new(move |_| service.clone(), config);
@@ -487,16 +470,11 @@ fn run_fleet(
         render_fleet_metrics(&mut body, request, &report);
     }
     if let Some(path) = &request.trace {
-        let fallback = TraceSink::new();
-        write_trace(path, report.obs.as_ref().map_or(&fallback, |o| &o.trace))?;
+        write_trace(path, &report.obs.trace)?;
     }
-    let plane = report.wall.clone().map(|wall| WallPlane {
-        metrics: report.obs.as_ref().map(|o| o.registry.clone()),
-        quality: report.quality.clone(),
-        wall,
-    });
-    let store = report.union_store;
-    Ok((body, store, plane))
+    let planes =
+        Planes { metrics: report.obs.registry, quality: report.quality, wall: report.wall };
+    Ok((body, report.union_store, planes))
 }
 
 /// Metrics summary of a fleet run (`metrics` directive), in two planes:
@@ -506,8 +484,7 @@ fn run_fleet(
 /// yield, per-job finish instants.
 fn render_fleet_metrics(out: &mut String, request: &ServeRequest, report: &FleetReport) {
     use std::fmt::Write;
-    let Some(obs) = &report.obs else { return };
-    let reg = &obs.registry;
+    let reg = &report.obs.registry;
     writeln!(out, "# metrics (shard-invariant)").expect("string write");
     writeln!(out, "metric jobs {}", report.outcomes.len()).expect("string write");
     writeln!(out, "metric epochs {}", report.epochs.len()).expect("string write");
@@ -535,8 +512,8 @@ fn render_fleet_metrics(out: &mut String, request: &ServeRequest, report: &Fleet
     // Quality figures are pure functions of the walks, so they belong
     // to the shard-invariant plane (the quality-smoke CI job diffs them
     // across W).
-    if let Some(quality) = &report.quality {
-        quality.render_metric_lines(out);
+    if request.quality {
+        report.quality.render_metric_lines(out);
     }
     writeln!(out, "# timing (varies with shard count)").expect("string write");
     writeln!(out, "timing fleet-bill-unique-queries {}", report.total_unique_queries)
@@ -614,8 +591,7 @@ fn render_job_line(
         }
     }
     // The SLO verdict appears only for jobs that declared `ess=`:
-    // SLO-free job lines stay byte-stable with or without the quality
-    // plane.
+    // SLO-free job lines stay byte-stable.
     if let Some(q) = quality {
         if q.target_ess.is_some() {
             write!(out, " quality-met={}", u8::from(q.met)).expect("string write");
@@ -624,11 +600,7 @@ fn render_job_line(
     out.push('\n');
 }
 
-fn render_report(
-    request: &ServeRequest,
-    report: &ServeReport,
-    quality: Option<&QualityReport>,
-) -> String {
+fn render_report(request: &ServeRequest, report: &ServeReport, quality: &QualityReport) -> String {
     use std::fmt::Write;
     let mut out = String::new();
     writeln!(out, "# mto-serve results").expect("string write");
@@ -647,7 +619,7 @@ fn render_report(
     )
     .expect("string write");
     for (o, spec) in report.outcomes.iter().zip(&request.jobs) {
-        render_job_line(&mut out, o, spec.deadline, quality.and_then(|q| q.jobs.get(&o.id)));
+        render_job_line(&mut out, o, spec.deadline, quality.jobs.get(&o.id));
     }
     out
 }
@@ -728,8 +700,7 @@ fn render_fleet_report(request: &ServeRequest, report: &FleetReport, quantum: us
         .expect("string write");
     }
     for (o, spec) in report.outcomes.iter().zip(&request.jobs) {
-        let figures = report.quality.as_ref().and_then(|q| q.jobs.get(&o.id));
-        render_job_line(&mut out, o, spec.deadline, figures);
+        render_job_line(&mut out, o, spec.deadline, report.quality.jobs.get(&o.id));
     }
     out
 }
@@ -744,17 +715,16 @@ fn cmd_snapshot(args: &[String]) -> Result<(), Invocation> {
         .map_err(|e| Invocation::Usage(format!("bad --at value: {e}")))?;
     let to = flags.get("to").ok_or_else(|| Invocation::Usage("snapshot needs --to FILE".into()))?;
 
-    let request = read_request(&request_path)?;
+    let text = std::fs::read_to_string(&request_path).map_err(ServeError::from)?;
+    let request = ServeRequest::parse(&text)?;
     // A snapshot freezes ONE session; a request that asks for a fleet
     // cannot be honored by silently ignoring its fleet directives (the
     // resumed run would quietly drop the sharding the user asked for).
-    // Fail fast, naming the unsupported directive.
-    for (present, directive) in
-        [(request.shards.is_some(), "shards"), (request.epochs.is_some(), "epochs")]
-    {
-        if present {
+    // Fail fast, naming the unsupported directive and its line.
+    for directive in ["shards", "epochs"] {
+        if let Some(line) = directive_line(&text, directive) {
             return Err(Invocation::Failed(ServeError::Request {
-                line: 0,
+                line,
                 message: format!(
                     "`snapshot`/`resume` operate on a single session; the fleet directive \
                      `{directive}` is not supported here — drop it or use `run`"

@@ -49,7 +49,7 @@
 //! count, worker interleaving, and gossip merge order; `W = 1`
 //! reproduces the single-client
 //! [`mto_serve::scheduler::JobScheduler`] outcomes exactly (under the
-//! fair policies with no budget). Only the *bill* (unique queries) and
+//! fair policies, with no budget and no `ess=` SLO). Only the *bill* (unique queries) and
 //! the *timing* (virtual seconds) depend on `W` and gossip — that is
 //! the whole point of measuring them.
 
@@ -59,19 +59,18 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use mto_core::mto::RewireStats;
 use mto_core::walk::Walker;
 use mto_graph::NodeId;
-use mto_net::{Concurrency, PipelineConfig, ProviderProfile, QueryPipeline};
+use mto_net::{Concurrency, PipelineConfig, PipelineStats, ProviderProfile, QueryPipeline};
+use mto_obs::quality::{scale_milli, QualityAccumulator};
+use mto_obs::{WallClockRegistry, WallClockScope, WallKey, WallStats};
 use mto_osn::{CachedClient, SharedClient, SocialNetworkInterface, VirtualClock};
 use mto_qos::{
-    plan_epoch, AdmissionController, BudgetLedger, CostPredictor, DeadlinePolicy, LiveJob,
-    PlannerConfig,
+    plan_epoch, AdmissionController, AdmissionDecision, BudgetLedger, CostPredictor,
+    DeadlinePolicy, LiveJob, PlannerConfig,
 };
 use mto_serve::error::{Result, ServeError};
 use mto_serve::history::HistoryStore;
 use mto_serve::scheduler::{finalize_session, JobOutcome, SchedulePolicy};
 use mto_serve::session::{JobSpec, SampleObserver, SamplerSession, SessionState};
-
-use mto_net::PipelineStats;
-use mto_obs::MetricsRegistry;
 
 use crate::plan::ShardPlan;
 use crate::report::{EpochReport, FleetObsData, FleetReport, LedgerSummary};
@@ -89,7 +88,9 @@ pub enum MergeOrder {
     Reverse,
 }
 
-/// Tuning of a [`FleetCoordinator`].
+/// Tuning of a [`FleetCoordinator`]. There are no observability
+/// switches: every plane is collected on every run and reported in
+/// [`FleetReport`]; callers choose only what to write or render.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FleetConfig {
     /// Shard workers `W` (clamped to the job count; ≥ 1).
@@ -124,31 +125,6 @@ pub struct FleetConfig {
     pub fleet_budget: Option<u64>,
     /// How admission treats predicted-unmeetable deadlines.
     pub deadline_policy: DeadlinePolicy,
-    /// Collect observability: per-shard metrics registries merged at
-    /// every epoch barrier, pipeline queue-wait/service-time histograms,
-    /// and the deterministic `mto-trace/v2` trace. Off by default — the
-    /// disabled configuration adds no work to the epoch loop.
-    pub obs: bool,
-    /// Collect the wall-clock telemetry plane
-    /// ([`mto_obs::wallclock`]): per-epoch/per-shard service wall time,
-    /// barrier-wait time, gossip-merge cost, and per-shard pipeline
-    /// replay time, reported in [`FleetReport::wall`]. Independent of
-    /// [`FleetConfig::obs`] and excluded from every deterministic
-    /// surface — results, traces, and `metric` figures are
-    /// byte-identical whether this is on or off.
-    pub wall: bool,
-    /// Collect the estimator-quality plane ([`mto_obs::quality`]):
-    /// per-job streaming ESS, windowed Geweke z, and the cross-chain
-    /// R-hat, folded from per-slot sample series (the degree of every
-    /// node the walk visits — a pure function of the walk) at every
-    /// epoch barrier, reported in [`FleetReport::quality`]. Jobs may
-    /// additionally declare `ess=N` SLOs: the epoch planner stops
-    /// granting a converged job's quanta and its remaining budget is
-    /// released to the ledger at the same barrier. Off by default; the
-    /// disabled configuration adds no work to the epoch loop, and a
-    /// quality run without SLOs produces byte-identical results,
-    /// traces, and non-quality `metric` lines to a run without it.
-    pub quality: bool,
 }
 
 impl Default for FleetConfig {
@@ -165,9 +141,6 @@ impl Default for FleetConfig {
             policy: SchedulePolicy::RoundRobin,
             fleet_budget: None,
             deadline_policy: DeadlinePolicy::Optimistic,
-            obs: false,
-            wall: false,
-            quality: false,
         }
     }
 }
@@ -199,6 +172,16 @@ impl FleetConfig {
     }
 }
 
+impl MergeOrder {
+    /// The indices `0..n` in this fold order.
+    fn indices(self, n: usize) -> Vec<usize> {
+        match self {
+            MergeOrder::Forward => (0..n).collect(),
+            MergeOrder::Reverse => (0..n).rev().collect(),
+        }
+    }
+}
+
 /// One admitted job's session plus its QoS bookkeeping.
 struct Slot<I: SocialNetworkInterface> {
     /// Index into the *submitted* job list (outcome ordering).
@@ -220,7 +203,7 @@ struct Slot<I: SocialNetworkInterface> {
     /// Shard-clock time at the barrier after the job's last step.
     finished_secs: Option<f64>,
     /// Cursor into the walk history for the quality plane's sample
-    /// series (tracked only when [`FleetConfig::quality`]).
+    /// series.
     observer: SampleObserver,
     /// The job's `ess=N` SLO latched: the quality plane judged the walk
     /// converged, so the planner stops granting it quanta and the
@@ -229,6 +212,22 @@ struct Slot<I: SocialNetworkInterface> {
 }
 
 impl<I: SocialNetworkInterface> Slot<I> {
+    fn new(orig: usize, account: usize, session: SamplerSession<I>) -> Self {
+        Slot {
+            orig,
+            account,
+            session,
+            demand: HashSet::new(),
+            processed: 0,
+            steps_seen: 0,
+            suspended: false,
+            cut: false,
+            finished_secs: None,
+            observer: SampleObserver::new(),
+            quality_met: false,
+        }
+    }
+
     /// Folds newly visited history into the demand set, returning the
     /// cumulative unique demand.
     fn refresh_demand(&mut self) -> u64 {
@@ -317,11 +316,11 @@ struct Shard<I: SocialNetworkInterface> {
     /// Cached node ids at the last barrier (ascending) — the diff basis
     /// for "which nodes did *this shard pay for* this epoch".
     known: Vec<NodeId>,
-    /// Wall plane: this epoch's self-timed service (`Some` iff
-    /// [`FleetConfig::wall`]). The shard accumulates on its own thread;
-    /// the coordinator takes and keys it after the barrier, so the hot
-    /// path needs no locks and no knowledge of its epoch/shard index.
-    wall: Option<mto_obs::WallStats>,
+    /// Wall plane: this epoch's self-timed service. The shard
+    /// accumulates on its own thread; the coordinator takes and keys it
+    /// after the barrier, so the hot path needs no locks and no
+    /// knowledge of its epoch/shard index.
+    wall: WallStats,
     error: Option<ServeError>,
 }
 
@@ -336,11 +335,9 @@ impl<I: SocialNetworkInterface> Shard<I> {
     /// in `known` and cost no virtual time here: nobody re-pays them.
     /// `grants` is indexed by ledger account.
     fn run_epoch(&mut self, grants: &[usize]) {
-        let timer = self.wall.is_some().then(mto_obs::WallClockScope::start);
+        let timer = WallClockScope::start();
         self.run_epoch_inner(grants);
-        if let (Some(wall), Some(timer)) = (self.wall.as_mut(), timer) {
-            wall.absorb(timer.stop());
-        }
+        self.wall.absorb(timer.stop());
     }
 
     fn run_epoch_inner(&mut self, grants: &[usize]) {
@@ -401,805 +398,714 @@ where
 
     /// Runs `jobs` to completion (or to their budget slices) and reports
     /// per-epoch gossip and ledger accounting alongside the per-job
-    /// outcomes.
+    /// outcomes: admission → build shards → loop {plan, step, barrier}
+    /// → finish.
     pub fn run(&self, jobs: Vec<JobSpec>) -> Result<FleetReport> {
         if jobs.is_empty() {
             return Ok(FleetReport { shards: 0, ..Default::default() });
         }
+        let mut run = FleetRun::admit(&self.config, self.warm_start.as_ref(), &self.factory, jobs)?;
+        run.build_shards(&self.factory)?;
+        while let Some(grants) = run.plan() {
+            run.step(&grants)?;
+            run.barrier()?;
+        }
+        run.finish()
+    }
+}
+
+/// The state of one [`FleetCoordinator::run`]. Each plane is a plain
+/// field updated at a fixed point of the run: the deterministic plane
+/// (`obs`) from this serial control path only, the wall plane (`wall`)
+/// around the parallel section and the gossip merge, the quality plane
+/// (`quality`) at every barrier.
+///
+/// Every trace event is stamped with epoch-ordinal virtual time and
+/// derived from shard-invariant state only (grants, demand, ledger
+/// moves, step counts) — so encoded traces are byte-identical across
+/// shard counts. The registry additionally absorbs timing-plane figures
+/// (queue-wait/service-time histograms, gossip savings) that
+/// legitimately vary with `W`.
+struct FleetRun<'a, I: SocialNetworkInterface> {
+    config: &'a FleetConfig,
+    warm_start: Option<&'a HistoryStore>,
+    jobs: Vec<JobSpec>,
+    decisions: Vec<AdmissionDecision>,
+    /// Submitted-job index of each admitted job, by ledger account.
+    admitted: Vec<usize>,
+    predictor: CostPredictor,
+    ledger: Option<BudgetLedger>,
+    planner: PlannerConfig,
+    shards: Vec<Shard<I>>,
+    /// `(shard, slot)` of each account.
+    slot_of_account: Vec<(usize, usize)>,
+    /// Consecutive ungranted epochs of each live account (EDF aging).
+    starved: Vec<u32>,
+    epochs: Vec<EpochReport>,
+    adopted: u64,
+    conflicts: u64,
+    reclaimed: u64,
+    granted: u64,
+    obs: FleetObsData,
+    wall: WallClockRegistry,
+    quality: QualityAccumulator,
+    /// Causal adoption edges; `None` for isolated shards (`gossip =
+    /// false`), where nothing is adopted and no edges are traced.
+    causal: Option<CausalGossip>,
+}
+
+impl<'a, I> FleetRun<'a, I>
+where
+    I: SocialNetworkInterface + Send + Sync,
+{
+    /// Admission: a pure function of (jobs, history, budget), so it
+    /// commutes with sharding — every W sees the same admitted set.
+    fn admit<F: Fn(usize) -> I>(
+        config: &'a FleetConfig,
+        warm_start: Option<&'a HistoryStore>,
+        factory: &F,
+        jobs: Vec<JobSpec>,
+    ) -> Result<Self> {
         // Validate up front: admission and planning consume specs before
         // any `SamplerSession::create` would (sessions validate on
         // creation, but rejected/deferred jobs never reach one).
         for spec in &jobs {
             spec.validate().map_err(|message| ServeError::Request { line: 0, message })?;
         }
-
-        // ── Admission: a pure function of (jobs, history, budget), so it
-        // commutes with sharding — every W sees the same admitted set.
-        let mut predictor = CostPredictor::new((self.factory)(0).num_users_hint());
-        if let Some(p) = &self.config.provider {
+        let mut predictor = CostPredictor::new(factory(0).num_users_hint());
+        if let Some(p) = &config.provider {
             predictor = predictor.with_provider(p);
         }
-        let decisions = AdmissionController::new(self.config.deadline_policy).review(
+        let decisions = AdmissionController::new(config.deadline_policy).review(
             &predictor,
             &jobs,
-            self.warm_start.as_ref(),
-            self.config.fleet_budget,
+            warm_start,
+            config.fleet_budget,
         );
         let admitted: Vec<usize> =
             decisions.iter().filter(|d| d.verdict.admitted()).map(|d| d.job_index).collect();
-        let mut ledger = self.config.fleet_budget.map(|budget| {
+        let ledger = config.fleet_budget.map(|budget| {
             let predicted: Vec<u64> =
                 admitted.iter().map(|&i| decisions[i].predicted_queries).collect();
             BudgetLedger::split(budget, &predicted)
         });
-        let budgeted = ledger.is_some();
 
-        // ── Quality plane: one fleet-wide accumulator. Jobs are
-        // registered in account order so the figures (and the trace
-        // stamps derived from the id-ordered iteration) cover every
-        // admitted job even before its first sample. Slot sample series
-        // are folded in at every barrier; because a job runs whole on
-        // one shard and its series is a pure function of its walk, the
-        // fold commutes with sharding (`proptest_quality`).
-        let mut quality = self.config.quality.then(mto_obs::quality::QualityAccumulator::new);
-        if let Some(acc) = quality.as_mut() {
-            for &orig in &admitted {
-                acc.register(&jobs[orig].id, jobs[orig].ess);
+        // Jobs are registered in account order so the quality figures
+        // (and the trace stamps derived from the id-ordered iteration)
+        // cover every admitted job even before its first sample.
+        let mut quality = QualityAccumulator::new();
+        for &orig in &admitted {
+            quality.register(&jobs[orig].id, jobs[orig].ess);
+        }
+        let mut obs = FleetObsData::default();
+        for d in &decisions {
+            let name = format!("admission-{}-{}", d.id, d.verdict.name());
+            obs.trace.point(0, &name, d.predicted_queries);
+        }
+        if let Some(ledger) = &ledger {
+            obs.trace.point(0, "ledger-split", ledger.total());
+            for (account, &orig) in admitted.iter().enumerate() {
+                let name = format!("ledger-allowance-{}", jobs[orig].id);
+                obs.trace.point(0, &name, ledger.account(account).allowance);
             }
         }
+        let accounts = admitted.len();
+        Ok(FleetRun {
+            config,
+            warm_start,
+            jobs,
+            decisions,
+            admitted,
+            predictor,
+            ledger,
+            planner: PlannerConfig { quantum: config.epoch_quantum.max(1), ..Default::default() },
+            shards: Vec::new(),
+            slot_of_account: vec![(0, 0); accounts],
+            starved: vec![0; accounts],
+            epochs: Vec::new(),
+            adopted: 0,
+            conflicts: 0,
+            reclaimed: 0,
+            granted: 0,
+            obs,
+            wall: WallClockRegistry::new(),
+            quality,
+            causal: config.gossip.then(|| CausalGossip::new(accounts)),
+        })
+    }
 
-        // ── Observability. Every trace event below is emitted from this
-        // serial control path, stamped with epoch-ordinal virtual time,
-        // and derived from shard-invariant state only (grants, demand,
-        // ledger moves, step counts) — so encoded traces are
-        // byte-identical across shard counts. The registry additionally
-        // absorbs timing-plane figures (queue-wait/service-time
-        // histograms, gossip savings) that legitimately vary with `W`.
-        let mut obs = if self.config.obs { Some(FleetObsData::default()) } else { None };
-        if let Some(obs) = obs.as_mut() {
-            for d in &decisions {
-                obs.trace.point(
-                    0,
-                    &format!("admission-{}-{}", d.id, d.verdict.name()),
-                    d.predicted_queries,
-                );
-            }
-            if let Some(ledger) = ledger.as_ref() {
-                obs.trace.point(0, "ledger-split", ledger.total());
-                for (account, &orig) in admitted.iter().enumerate() {
-                    obs.trace.point(
-                        0,
-                        &format!("ledger-allowance-{}", jobs[orig].id),
-                        ledger.account(account).allowance,
-                    );
-                }
-            }
+    /// Builds the shards in shard order, slots in ascending admitted
+    /// order — start-node queries charge deterministically — then bills
+    /// every seed position to the ledger and traces seed adoptions.
+    fn build_shards<F: Fn(usize) -> I>(&mut self, factory: &F) -> Result<()> {
+        if self.admitted.is_empty() {
+            return Ok(());
         }
-
-        // Causal gossip edges are derived from walk histories (pure
-        // functions of the jobs), so they are W-invariant and safe to
-        // trace even though per-shard cache adoption counts are not.
-        // `gossip = false` runs isolated shards: nothing is adopted, so
-        // no edges are traced either — on any W.
-        let mut causal = if self.config.obs && self.config.gossip {
-            Some(CausalGossip::new(admitted.len()))
-        } else {
-            None
-        };
-
-        let plan = ShardPlan::round_robin(admitted.len(), self.config.shards);
-        let quantum = self.config.epoch_quantum.max(1);
-        let planner = PlannerConfig { quantum, ..Default::default() };
-
-        // Build shards up front, in shard order, slots in ascending
-        // admitted order — start-node queries charge deterministically.
-        let mut shards: Vec<Shard<I>> = Vec::with_capacity(plan.num_shards());
-        let mut slot_of_account: Vec<(usize, usize)> = vec![(0, 0); admitted.len()];
-        if !admitted.is_empty() {
-            for (s, positions) in plan.iter() {
-                let inner = (self.factory)(s);
-                let client = match &self.warm_start {
-                    Some(store) => SharedClient::new(store.warm_start(inner)?),
-                    None => SharedClient::new(CachedClient::new(inner)),
-                };
-                let mut pipeline = QueryPipeline::with_clock(
-                    (self.factory)(s),
-                    self.config.pipeline_config(s),
-                    VirtualClock::new(),
-                );
-                if self.config.obs {
-                    pipeline.enable_obs();
-                }
-                if self.config.wall {
-                    pipeline.enable_wall();
-                }
-                let mut slots = Vec::with_capacity(positions.len());
-                for &account in positions {
-                    let orig = admitted[account];
-                    slot_of_account[account] = (s, slots.len());
-                    slots.push(Slot {
-                        orig,
-                        account,
-                        session: SamplerSession::create(client.clone(), jobs[orig].clone())?,
-                        demand: HashSet::new(),
-                        processed: 0,
-                        steps_seen: 0,
-                        suspended: false,
-                        cut: false,
-                        finished_secs: None,
-                        observer: SampleObserver::new(),
-                        quality_met: false,
-                    });
-                }
-                let mut shard = Shard {
-                    client,
-                    pipeline,
-                    slots,
-                    known: Vec::new(),
-                    wall: self.config.wall.then(mto_obs::WallStats::default),
-                    error: None,
-                };
-                shard.refresh_known();
-                // The seed position is demand too: charge it before the
-                // first epoch so a zero-step job still bills its start.
-                if budgeted {
-                    for slot in &mut shard.slots {
-                        slot.refresh_demand();
-                    }
-                }
-                shards.push(shard);
+        let plan = ShardPlan::round_robin(self.admitted.len(), self.config.shards);
+        for (s, positions) in plan.iter() {
+            let inner = factory(s);
+            let client = match self.warm_start {
+                Some(store) => SharedClient::new(store.warm_start(inner)?),
+                None => SharedClient::new(CachedClient::new(inner)),
+            };
+            let pipeline = QueryPipeline::with_clock(
+                factory(s),
+                self.config.pipeline_config(s),
+                VirtualClock::new(),
+            );
+            let mut slots = Vec::with_capacity(positions.len());
+            for &account in positions {
+                let orig = self.admitted[account];
+                self.slot_of_account[account] = (s, slots.len());
+                let session = SamplerSession::create(client.clone(), self.jobs[orig].clone())?;
+                slots.push(Slot::new(orig, account, session));
             }
+            let mut shard = Shard {
+                client,
+                pipeline,
+                slots,
+                known: Vec::new(),
+                wall: WallStats::default(),
+                error: None,
+            };
+            shard.refresh_known();
+            // The seed position is demand too: charge it before the
+            // first epoch so a zero-step job still bills its start.
+            if self.ledger.is_some() {
+                for slot in &mut shard.slots {
+                    slot.refresh_demand();
+                }
+            }
+            self.shards.push(shard);
         }
-        if let Some(ledger) = ledger.as_mut() {
-            for &(s, pos) in &slot_of_account {
-                let slot = &mut shards[s].slots[pos];
+        if let Some(ledger) = self.ledger.as_mut() {
+            for &(s, pos) in &self.slot_of_account {
+                let slot = &mut self.shards[s].slots[pos];
                 let demand = slot.demand.len() as u64;
-                if let Some(obs) = obs.as_mut() {
-                    if demand > 0 {
-                        obs.trace.point(
-                            0,
-                            &format!("ledger-charge-{}", slot.session.spec().id),
-                            demand,
-                        );
-                    }
+                if demand > 0 {
+                    let name = format!("ledger-charge-{}", slot.session.spec().id);
+                    self.obs.trace.point(0, &name, demand);
                 }
                 if ledger.charge(slot.account, demand)
                     && slot.session.state() != SessionState::Completed
                 {
                     slot.suspended = true;
                     slot.session.pause();
-                    if let Some(obs) = obs.as_mut() {
-                        obs.trace.point(0, &format!("suspend-{}", slot.session.spec().id), demand);
-                    }
+                    let name = format!("suspend-{}", slot.session.spec().id);
+                    self.obs.trace.point(0, &name, demand);
                 }
             }
         }
-
         // Seed positions are causal demand too: a job starting on (or
         // instantly revisiting) a node another walk already owns adopts
         // it from epoch zero, before any span opens.
-        if let (Some(obs), Some(causal)) = (obs.as_mut(), causal.as_mut()) {
-            let histories: Vec<&[NodeId]> = slot_of_account
-                .iter()
-                .map(|&(s, pos)| shards[s].slots[pos].session.walker().history())
-                .collect();
-            for (from, to, count) in causal.barrier(&histories) {
-                obs.trace.gossip(
-                    0,
-                    &format!("job-{}", jobs[admitted[from]].id),
-                    &format!("job-{}", jobs[admitted[to]].id),
-                    count,
+        self.trace_adoptions(0);
+        Ok(())
+    }
+
+    /// Plans the next epoch: each account's step grant, with the epoch
+    /// span opened and the grants traced — or `None` once no admitted
+    /// job has steps left.
+    fn plan(&mut self) -> Option<Vec<usize>> {
+        let epoch = self.epochs.len();
+        let t = epoch_t_us(epoch);
+        // The planner's view of every admitted job, by account.
+        let live: Vec<LiveJob> = self
+            .slot_of_account
+            .iter()
+            .map(|&(s, pos)| {
+                let slot = &self.shards[s].slots[pos];
+                LiveJob {
+                    remaining_steps: if slot.done() { 0 } else { slot.session.steps_remaining() },
+                    deadline: slot.session.spec().deadline,
+                    starved_epochs: self.starved[slot.account],
+                    suspended: slot.suspended,
+                }
+            })
+            .collect();
+        if !live.iter().any(|j| j.remaining_steps > 0) {
+            return None;
+        }
+        if !live.iter().any(|j| !j.suspended && j.remaining_steps > 0) {
+            // Every remaining job is suspended on an empty pool (a
+            // rebalance ran at the last barrier): cut them.
+            for &(s, pos) in &self.slot_of_account {
+                let cut_at = self.shards[s].pipeline.clock().now();
+                let slot = &mut self.shards[s].slots[pos];
+                if slot.suspended && !slot.done() {
+                    slot.cut = true;
+                    slot.finished_secs = Some(cut_at);
+                    let name = format!("cut-{}", slot.session.spec().id);
+                    self.obs.trace.point(t, &name, slot.session.steps_taken() as u64);
+                }
+            }
+            return None;
+        }
+        let grants = plan_epoch(self.config.policy, &self.planner, &live);
+        self.obs.trace.enter(t, &format!("epoch-{epoch}"));
+        for (account, job) in live.iter().enumerate() {
+            if !job.suspended && job.remaining_steps > 0 {
+                self.starved[account] =
+                    if grants[account] == 0 { self.starved[account] + 1 } else { 0 };
+            }
+            if grants[account] == 0 {
+                continue;
+            }
+            let id = &self.jobs[self.admitted[account]].id;
+            self.obs.trace.point(t, &format!("grant-{id}"), grants[account] as u64);
+            // An EDF aging promotion is visible in the plan's own
+            // inputs: a job starved past the threshold that got a grant
+            // this epoch was promoted ahead of every deadline.
+            if self.config.policy == SchedulePolicy::EarliestDeadlineFirst
+                && job.starved_epochs >= self.planner.aging_epochs
+            {
+                let name = format!("aging-promotion-{id}");
+                self.obs.trace.point(t, &name, u64::from(job.starved_epochs));
+            }
+        }
+        Some(grants)
+    }
+
+    /// Steps every shard through its grants on scoped worker threads,
+    /// then records what the epoch did: shard service and barrier wait
+    /// (wall plane), one trace span per job that ran, and the shards'
+    /// pipeline histograms.
+    fn step(&mut self, grants: &[usize]) -> Result<()> {
+        let epoch = self.epochs.len();
+        let steps_before: Vec<usize> = self
+            .slot_of_account
+            .iter()
+            .map(|&(s, pos)| self.shards[s].slots[pos].session.steps_taken())
+            .collect();
+        let section = WallClockScope::start();
+        std::thread::scope(|scope| {
+            for shard in self.shards.iter_mut() {
+                scope.spawn(move || shard.run_epoch(grants));
+            }
+        });
+        let section = section.stop();
+        // Each shard self-timed its service; the coordinator keys it now
+        // that the epoch and shard index are known. The barrier's own
+        // cost is what the parallel section took beyond the slowest
+        // shard: spawn/join overhead plus the lockstep wait every faster
+        // shard paid.
+        let mut slowest = 0u64;
+        for (s, shard) in self.shards.iter_mut().enumerate() {
+            let service = std::mem::take(&mut shard.wall);
+            slowest = slowest.max(service.nanos);
+            let key = WallKey::phase("shard-service").at_epoch(epoch as u64).on_shard(s as u64);
+            self.wall.record(key, service);
+        }
+        self.wall.record(
+            WallKey::phase("barrier-wait").at_epoch(epoch as u64),
+            WallStats::from_nanos(section.nanos.saturating_sub(slowest)),
+        );
+        for shard in &mut self.shards {
+            if let Some(e) = shard.error.take() {
+                return Err(e);
+            }
+        }
+
+        // One span per job that ran, nested under the epoch span,
+        // weighted by the steps it actually took — the virtual work
+        // `trace2flame` folds into `epoch-N;job-id` rows.
+        let t = epoch_t_us(epoch);
+        let mut epoch_steps = 0u64;
+        for (account, &(s, pos)) in self.slot_of_account.iter().enumerate() {
+            let slot = &self.shards[s].slots[pos];
+            let delta = (slot.session.steps_taken() - steps_before[account]) as u64;
+            if delta > 0 {
+                epoch_steps += delta;
+                self.obs.trace.enter(t, &format!("job-{}", slot.session.spec().id));
+                self.obs.trace.exit(t, delta);
+            }
+        }
+        self.obs.registry.inc("walk-steps", epoch_steps);
+        // Per-shard pipeline histograms fold into the fleet registry —
+        // the metrics analogue of the history gossip (every combine is
+        // associative and commutative, so the fold order cannot matter).
+        for shard in &mut self.shards {
+            let po = shard.pipeline.take_obs();
+            let reg = &mut self.obs.registry;
+            reg.inc("pipeline-completions", po.service_time_us.count());
+            reg.merge_histogram("queue-wait-us", &po.queue_wait_us);
+            reg.merge_histogram("service-time-us", &po.service_time_us);
+        }
+        Ok(())
+    }
+
+    /// The epoch barrier, serial and in a fixed order: quality fold →
+    /// finish recording and ledger → gossip → registry.
+    fn barrier(&mut self) -> Result<()> {
+        let epoch = self.epochs.len();
+        self.fold_quality(epoch);
+        let mut report = EpochReport {
+            epoch,
+            fleet_unique_queries: self.fleet_unique_queries(),
+            makespan_secs: self.makespan_secs(),
+            ..Default::default()
+        };
+        self.record_finishes(&mut report);
+        self.gossip(&mut report)?;
+        // Gossip savings are a W-dependent figure: registry only, never
+        // the trace.
+        self.obs.registry.inc("gossip-adopted-responses", report.adopted_responses);
+        self.obs.registry.inc("gossip-merge-conflicts", report.merge_conflicts);
+        // The causal (W-invariant) face of the same barrier, emitted
+        // inside the epoch span so the analysis layer can stamp the edge
+        // with its epoch.
+        let t = epoch_t_us(epoch);
+        self.trace_adoptions(t);
+        // Exit cost 0: the epoch's work is already attributed to the
+        // nested job spans (the fold treats exit cost as *self* weight,
+        // so a nonzero epoch cost would double count).
+        self.obs.trace.exit(t, 0);
+        self.epochs.push(report);
+        Ok(())
+    }
+
+    /// Quality barrier: folds every slot's fresh sample series (the
+    /// degree of each node its walk visited this epoch) into the fleet
+    /// accumulator, shards in the gossip merge order, stamps the epoch's
+    /// figures into the trace, and latches met `ess=N` SLOs. Jobs are
+    /// disjoint across shards and every figure is job-local, so — like
+    /// the history gossip — the fold order cannot change a single figure.
+    fn fold_quality(&mut self, epoch: usize) {
+        let t = epoch_t_us(epoch);
+        for s in self.config.merge_order.indices(self.shards.len()) {
+            for slot in &mut self.shards[s].slots {
+                let samples = slot.observer.drain(&slot.session);
+                self.quality.observe(&slot.session.spec().id, &samples);
+            }
+        }
+        // Per-job ESS, the Geweke z once the window splits, then the
+        // fleet R-hat (id order, inside the epoch span) — exactly what
+        // `trace2mix` folds into trajectories.
+        for (id, jq) in self.quality.jobs() {
+            let ess = scale_milli(jq.ess());
+            self.obs.trace.point(t, &format!("quality-ess-{id}"), ess);
+            if let Some(z) = jq.geweke_z() {
+                self.obs.trace.point(t, &format!("quality-z-{id}"), scale_milli(z));
+            }
+        }
+        if let Some(rhat) = self.quality.rhat() {
+            self.obs.trace.point(t, "quality-rhat", scale_milli(rhat));
+        }
+        // Early stop, in account order: a converged job is paused so the
+        // planner stops granting its quanta; the finish pass then treats
+        // it as finished, releasing its unspent slice at this barrier.
+        for &(s, pos) in &self.slot_of_account {
+            let slot = &mut self.shards[s].slots[pos];
+            if slot.done() {
+                continue;
+            }
+            let id = &slot.session.spec().id;
+            let Some(jq) = self.quality.job(id) else { continue };
+            if jq.met() {
+                self.obs.trace.point(t, &format!("quality-met-{id}"), scale_milli(jq.ess()));
+                slot.quality_met = true;
+                slot.session.pause();
+            }
+        }
+    }
+
+    /// Records finish instants and — when budgeted — charges the ledger,
+    /// suspends dry jobs, and rebalances: one pass in account order
+    /// (serial, and a pure function of job-local state, so
+    /// shard-invariant).
+    fn record_finishes(&mut self, report: &mut EpochReport) {
+        let t = epoch_t_us(report.epoch);
+        let mut finished: Vec<usize> = Vec::new();
+        let mut claims: Vec<(usize, u64)> = Vec::new();
+        for &(s, pos) in &self.slot_of_account {
+            let now_secs = self.shards[s].pipeline.clock().now();
+            let slot = &mut self.shards[s].slots[pos];
+            let (mut demand, mut exhausted) = (0, false);
+            if let Some(ledger) = self.ledger.as_mut() {
+                demand = slot.refresh_demand();
+                let steps_now = slot.session.steps_taken();
+                let charged = demand.saturating_sub(ledger.account(slot.account).spent);
+                exhausted = ledger.charge(slot.account, demand);
+                let algo = slot.session.spec().algo.name();
+                self.predictor.observe(algo, (steps_now - slot.steps_seen) as u64, charged);
+                slot.steps_seen = steps_now;
+                if charged > 0 {
+                    let name = format!("ledger-charge-{}", slot.session.spec().id);
+                    self.obs.trace.point(t, &name, charged);
+                }
+            }
+            let completed = slot.session.state() == SessionState::Completed;
+            if completed || slot.quality_met {
+                // Quality-met jobs finish here too: their SLO latch
+                // already marked the convergence in the trace, so only
+                // true completions get a `finish-` point, but both
+                // release their unspent slice to the pool.
+                if slot.finished_secs.is_none() {
+                    slot.finished_secs = Some(now_secs);
+                    finished.push(slot.account);
+                    if completed {
+                        let name = format!("finish-{}", slot.session.spec().id);
+                        self.obs.trace.point(t, &name, slot.session.steps_taken() as u64);
+                    }
+                }
+            } else if exhausted && !slot.suspended {
+                slot.suspended = true;
+                slot.session.pause();
+                let name = format!("suspend-{}", slot.session.spec().id);
+                self.obs.trace.point(t, &name, demand);
+            }
+            let Some(ledger) = &self.ledger else { continue };
+            if slot.suspended && !slot.done() {
+                // Claim what the rest of the walk is predicted to
+                // demand, judged against the *static* warm store so the
+                // claim is shard-invariant — PLUS the overshoot already
+                // spent past the allowance: a grant that ignored it
+                // could cover the predicted remainder yet leave the
+                // account exhausted, and the job would be cut with
+                // budget still pooled.
+                let account = ledger.account(slot.account);
+                let overshoot = account.spent.saturating_sub(account.allowance);
+                let want = self.predictor.predict_remaining_queries(
+                    slot.session.spec(),
+                    slot.session.steps_remaining(),
+                    self.warm_start,
                 );
+                claims.push((slot.account, overshoot + want.max(1)));
             }
         }
-
-        // ── Epoch loop: planned grants, parallel stepping, serial QoS
-        // accounting and gossip at the barrier.
-        let mut wall =
-            if self.config.wall { Some(mto_obs::WallClockRegistry::new()) } else { None };
-        let mut epochs = Vec::new();
-        let mut total_adopted = 0u64;
-        let mut total_conflicts = 0u64;
-        let mut total_reclaimed = 0u64;
-        let mut total_granted = 0u64;
-        let mut starved: Vec<u32> = vec![0; admitted.len()];
-        let mut released: Vec<bool> = vec![false; admitted.len()];
-        let mut epoch = 0usize;
-        loop {
-            // The planner's view of every admitted job, by account.
-            let live: Vec<LiveJob> = slot_of_account
-                .iter()
-                .map(|&(s, pos)| {
-                    let slot = &shards[s].slots[pos];
-                    LiveJob {
-                        remaining_steps: if slot.done() {
-                            0
-                        } else {
-                            slot.session.steps_remaining()
-                        },
-                        deadline: slot.session.spec().deadline,
-                        starved_epochs: starved[slot.account],
-                        suspended: slot.suspended,
-                    }
-                })
-                .collect();
-            let any_open = live.iter().any(|j| j.remaining_steps > 0);
-            if !any_open {
-                break;
-            }
-            let any_runnable = live.iter().any(|j| !j.suspended && j.remaining_steps > 0);
-            if !any_runnable {
-                // Every remaining job is suspended on an empty pool (a
-                // rebalance ran at the last barrier): cut them.
-                for &(s, pos) in &slot_of_account {
-                    let cut_at = shards[s].pipeline.clock().now();
-                    let slot = &mut shards[s].slots[pos];
-                    if slot.suspended && !slot.done() {
-                        slot.cut = true;
-                        slot.finished_secs = Some(cut_at);
-                        if let Some(obs) = obs.as_mut() {
-                            obs.trace.point(
-                                epoch_t_us(epoch),
-                                &format!("cut-{}", slot.session.spec().id),
-                                slot.session.steps_taken() as u64,
-                            );
-                        }
-                    }
-                }
-                break;
-            }
-            let grants = plan_epoch(self.config.policy, &planner, &live);
-            for (account, job) in live.iter().enumerate() {
-                if !job.suspended && job.remaining_steps > 0 {
-                    starved[account] = if grants[account] == 0 { starved[account] + 1 } else { 0 };
-                }
-            }
-
-            let mut steps_before: Vec<usize> = Vec::new();
-            let mut epoch_steps = 0u64;
-            if let Some(obs) = obs.as_mut() {
-                let t = epoch_t_us(epoch);
-                obs.trace.enter(t, &format!("epoch-{epoch}"));
-                for (account, job) in live.iter().enumerate() {
-                    if grants[account] == 0 {
-                        continue;
-                    }
-                    let (s, pos) = slot_of_account[account];
-                    let id = &shards[s].slots[pos].session.spec().id;
-                    obs.trace.point(t, &format!("grant-{id}"), grants[account] as u64);
-                    // An EDF aging promotion is visible in the plan's own
-                    // inputs: a job starved past the threshold that got a
-                    // grant this epoch was promoted ahead of every
-                    // deadline.
-                    if self.config.policy == SchedulePolicy::EarliestDeadlineFirst
-                        && job.starved_epochs >= planner.aging_epochs
-                    {
-                        obs.trace.point(
-                            t,
-                            &format!("aging-promotion-{id}"),
-                            u64::from(job.starved_epochs),
-                        );
-                    }
-                }
-                steps_before = slot_of_account
-                    .iter()
-                    .map(|&(s, pos)| shards[s].slots[pos].session.steps_taken())
-                    .collect();
-            }
-
-            let section_timer = wall.is_some().then(mto_obs::WallClockScope::start);
-            std::thread::scope(|scope| {
-                for shard in shards.iter_mut() {
-                    let grants = &grants;
-                    scope.spawn(move || shard.run_epoch(grants));
-                }
-            });
-            if let Some(timer) = section_timer {
-                let section = timer.stop();
-                let wall = wall.as_mut().expect("section timer implies wall plane");
-                // Each shard self-timed its service; the coordinator keys
-                // it now that the epoch and shard index are known. The
-                // barrier's own cost is what the parallel section took
-                // beyond the slowest shard: spawn/join overhead plus the
-                // lockstep wait every faster shard paid.
-                let mut slowest = 0u64;
-                for (s, shard) in shards.iter_mut().enumerate() {
-                    if let Some(service) = shard.wall.replace(mto_obs::WallStats::default()) {
-                        slowest = slowest.max(service.nanos);
-                        wall.record(
-                            mto_obs::WallKey::phase("shard-service")
-                                .at_epoch(epoch as u64)
-                                .on_shard(s as u64),
-                            service,
-                        );
-                    }
-                }
-                wall.record(
-                    mto_obs::WallKey::phase("barrier-wait").at_epoch(epoch as u64),
-                    mto_obs::WallStats {
-                        count: 1,
-                        nanos: section.nanos.saturating_sub(slowest),
-                        allocs: 0,
-                        bytes: 0,
-                    },
-                );
-            }
-            for shard in &mut shards {
-                if let Some(e) = shard.error.take() {
-                    return Err(e);
-                }
-            }
-
-            if let Some(obs) = obs.as_mut() {
-                let t = epoch_t_us(epoch);
-                // One span per job that ran, nested under the epoch span,
-                // weighted by the steps it actually took — the virtual
-                // work `trace2flame` folds into `epoch-N;job-id` rows.
-                for (account, &(s, pos)) in slot_of_account.iter().enumerate() {
-                    let slot = &shards[s].slots[pos];
-                    let delta = (slot.session.steps_taken() - steps_before[account]) as u64;
-                    if delta > 0 {
-                        epoch_steps += delta;
-                        obs.trace.enter(t, &format!("job-{}", slot.session.spec().id));
-                        obs.trace.exit(t, delta);
-                    }
-                }
-                // Per-shard epoch registries folded into the fleet
-                // registry at the barrier — the metrics analogue of the
-                // history gossip (merge is associative and commutative,
-                // so the fold order cannot matter).
-                for shard in shards.iter_mut() {
-                    let mut shard_reg = MetricsRegistry::new();
-                    if let Some(po) = shard.pipeline.take_obs() {
-                        shard_reg.inc("pipeline-completions", po.service_time_us.count());
-                        shard_reg.merge_histogram("queue-wait-us", &po.queue_wait_us);
-                        shard_reg.merge_histogram("service-time-us", &po.service_time_us);
-                        shard.pipeline.enable_obs();
-                    }
-                    obs.registry.merge(&shard_reg);
-                }
-            }
-
-            // ── Quality barrier: fold every slot's fresh sample series
-            // (the degree of each node its walk visited this epoch)
-            // into the fleet accumulator, shards in the gossip merge
-            // order. Jobs are disjoint across shards and every figure
-            // is job-local, so — like the history gossip — the fold
-            // order cannot change a single figure.
-            if let Some(acc) = quality.as_mut() {
-                let shard_order: Vec<usize> = match self.config.merge_order {
-                    MergeOrder::Forward => (0..shards.len()).collect(),
-                    MergeOrder::Reverse => (0..shards.len()).rev().collect(),
-                };
-                for s in shard_order {
-                    for slot in &mut shards[s].slots {
-                        let samples = slot.observer.drain(&slot.session);
-                        acc.observe(&slot.session.spec().id, &samples);
-                    }
-                }
-                // Stamp the epoch's figures into the trace (id order,
-                // inside the epoch span): per-job ESS, the Geweke z
-                // once the window splits, then the fleet R-hat —
-                // exactly what `trace2mix` folds into trajectories.
-                if let Some(obs) = obs.as_mut() {
-                    let t = epoch_t_us(epoch);
-                    for (id, jq) in acc.jobs() {
-                        let ess = mto_obs::quality::scale_milli(jq.ess());
-                        obs.trace.point(t, &format!("quality-ess-{id}"), ess);
-                        if let Some(z) = jq.geweke_z() {
-                            let z = mto_obs::quality::scale_milli(z);
-                            obs.trace.point(t, &format!("quality-z-{id}"), z);
-                        }
-                    }
-                    if let Some(rhat) = acc.rhat() {
-                        obs.trace.point(t, "quality-rhat", mto_obs::quality::scale_milli(rhat));
-                    }
-                }
-                // Early stop, in account order: a job whose `ess=N` SLO
-                // latched is converged — pause it so the planner stops
-                // granting its quanta. The ledger block below treats it
-                // as finished, releasing its unspent slice to the pool
-                // at this same barrier.
-                for &(s, pos) in &slot_of_account {
-                    let slot = &mut shards[s].slots[pos];
-                    if slot.done() {
-                        continue;
-                    }
-                    let id = slot.session.spec().id.clone();
-                    let Some(jq) = acc.job(&id) else { continue };
-                    if jq.met() {
-                        slot.quality_met = true;
-                        slot.session.pause();
-                        if let Some(obs) = obs.as_mut() {
-                            obs.trace.point(
-                                epoch_t_us(epoch),
-                                &format!("quality-met-{id}"),
-                                mto_obs::quality::scale_milli(jq.ess()),
-                            );
-                        }
-                    }
-                }
-            }
-
-            let mut report = EpochReport {
-                epoch,
-                fleet_unique_queries: shards
-                    .iter()
-                    .map(|s| s.client.with(|c| c.unique_queries()))
-                    .sum(),
-                makespan_secs: shards.iter().map(|s| s.pipeline.clock().now()).fold(0.0, f64::max),
-                ..Default::default()
-            };
-
-            // ── Barrier QoS accounting, in account order (serial, and a
-            // pure function of job-local state — shard-invariant).
-            if let Some(ledger) = ledger.as_mut() {
-                let mut finished: Vec<usize> = Vec::new();
-                let mut claims: Vec<(usize, u64)> = Vec::new();
-                for &(s, pos) in &slot_of_account {
-                    let now_secs = shards[s].pipeline.clock().now();
-                    let slot = &mut shards[s].slots[pos];
-                    let demand = slot.refresh_demand();
-                    let steps_now = slot.session.steps_taken();
-                    let demand_before = ledger.account(slot.account).spent;
-                    let exhausted = ledger.charge(slot.account, demand);
-                    predictor.observe(
-                        slot.session.spec().algo.name(),
-                        (steps_now - slot.steps_seen) as u64,
-                        demand.saturating_sub(demand_before),
-                    );
-                    slot.steps_seen = steps_now;
-                    if let Some(obs) = obs.as_mut() {
-                        let charged = demand.saturating_sub(demand_before);
-                        if charged > 0 {
-                            obs.trace.point(
-                                epoch_t_us(epoch),
-                                &format!("ledger-charge-{}", slot.session.spec().id),
-                                charged,
-                            );
-                        }
-                    }
-                    if slot.session.state() == SessionState::Completed || slot.quality_met {
-                        // Quality-met jobs finish here too: their SLO
-                        // latch already marked the convergence in the
-                        // trace, so only true completions get a
-                        // `finish-` point, but both release their
-                        // unspent slice to the pool.
-                        if !released[slot.account] {
-                            released[slot.account] = true;
-                            finished.push(slot.account);
-                            slot.finished_secs.get_or_insert(now_secs);
-                            if let Some(obs) = obs.as_mut() {
-                                if slot.session.state() == SessionState::Completed {
-                                    obs.trace.point(
-                                        epoch_t_us(epoch),
-                                        &format!("finish-{}", slot.session.spec().id),
-                                        steps_now as u64,
-                                    );
-                                }
-                            }
-                        }
-                    } else if exhausted && !slot.suspended {
-                        slot.suspended = true;
-                        slot.session.pause();
-                        if let Some(obs) = obs.as_mut() {
-                            obs.trace.point(
-                                epoch_t_us(epoch),
-                                &format!("suspend-{}", slot.session.spec().id),
-                                demand,
-                            );
-                        }
-                    }
-                    if slot.suspended && !slot.done() {
-                        // Claim what the rest of the walk is predicted to
-                        // demand, judged against the *static* warm store
-                        // so the claim is shard-invariant — PLUS the
-                        // overshoot already spent past the allowance: a
-                        // grant that ignored it could cover the predicted
-                        // remainder yet leave the account exhausted, and
-                        // the job would be cut with budget still pooled.
-                        let account = ledger.account(slot.account);
-                        let overshoot = account.spent.saturating_sub(account.allowance);
-                        let want = predictor.predict_remaining_queries(
-                            slot.session.spec(),
-                            slot.session.steps_remaining(),
-                            self.warm_start.as_ref(),
-                        );
-                        claims.push((slot.account, overshoot + want.max(1)));
-                    }
-                }
-                let outcome = ledger.rebalance(&finished, &claims);
-                report.ledger_reclaimed = outcome.reclaimed;
-                report.ledger_granted = outcome.granted;
-                total_reclaimed += outcome.reclaimed;
-                total_granted += outcome.granted;
-                if let Some(obs) = obs.as_mut() {
-                    if outcome.reclaimed > 0 {
-                        obs.trace.point(epoch_t_us(epoch), "ledger-reclaimed", outcome.reclaimed);
-                    }
-                    if outcome.granted > 0 {
-                        obs.trace.point(epoch_t_us(epoch), "ledger-granted", outcome.granted);
-                    }
-                }
-                // Re-granted slices resume their jobs.
-                for &(account, _) in &claims {
-                    let (s, pos) = slot_of_account[account];
-                    let slot = &mut shards[s].slots[pos];
-                    if slot.suspended && !ledger.account(account).exhausted() {
-                        slot.suspended = false;
-                        slot.session.resume_stepping();
-                        if let Some(obs) = obs.as_mut() {
-                            obs.trace.point(
-                                epoch_t_us(epoch),
-                                &format!("resume-{}", slot.session.spec().id),
-                                ledger.account(account).allowance,
-                            );
-                        }
-                    }
-                }
-            } else {
-                // Unbudgeted: only completion times need recording
-                // (quality-met jobs finish here too; their convergence
-                // is already marked by the `quality-met-` point).
-                for &(s, pos) in &slot_of_account {
-                    let now_secs = shards[s].pipeline.clock().now();
-                    let slot = &mut shards[s].slots[pos];
-                    if slot.session.state() == SessionState::Completed || slot.quality_met {
-                        if slot.finished_secs.is_none()
-                            && slot.session.state() == SessionState::Completed
-                        {
-                            if let Some(obs) = obs.as_mut() {
-                                obs.trace.point(
-                                    epoch_t_us(epoch),
-                                    &format!("finish-{}", slot.session.spec().id),
-                                    slot.session.steps_taken() as u64,
-                                );
-                            }
-                        }
-                        slot.finished_secs.get_or_insert(now_secs);
-                    }
-                }
-            }
-
-            if self.config.gossip && shards.len() > 1 {
-                let timer = wall.is_some().then(mto_obs::WallClockScope::start);
-                let stores: Vec<HistoryStore> = shards
-                    .iter()
-                    .map(|s| s.client.with(|c| HistoryStore::from_client(c)))
-                    .collect();
-                let (union, conflicts) = fold_stores(&stores, self.config.merge_order)?;
-                for (shard, store) in shards.iter_mut().zip(&stores) {
-                    let adopted = union.num_responses() - store.num_responses();
-                    report.adopted_responses += adopted as u64;
-                    if adopted > 0 {
-                        shard.client.with(|c| c.import_entries(&union.cache));
-                        shard.refresh_known();
-                    }
-                }
-                report.merge_conflicts = conflicts;
-                total_adopted += report.adopted_responses;
-                total_conflicts += conflicts;
-                if let (Some(wall), Some(timer)) = (wall.as_mut(), timer) {
-                    timer.stop_into(
-                        wall,
-                        mto_obs::WallKey::phase("gossip-merge").at_epoch(epoch as u64),
-                    );
-                }
-            }
-            if let Some(obs) = obs.as_mut() {
-                // Gossip savings are a W-dependent figure: registry only,
-                // never the trace.
-                obs.registry.inc("gossip-adopted-responses", report.adopted_responses);
-                obs.registry.inc("gossip-merge-conflicts", report.merge_conflicts);
-                obs.registry.inc("walk-steps", epoch_steps);
-                // The causal (W-invariant) face of the same barrier:
-                // which job's walk adopted nodes first paid for by
-                // another job's walk, emitted inside the epoch span so
-                // the analysis layer can stamp the edge with its epoch.
-                if let Some(causal) = causal.as_mut() {
-                    let histories: Vec<&[NodeId]> = slot_of_account
-                        .iter()
-                        .map(|&(s, pos)| shards[s].slots[pos].session.walker().history())
-                        .collect();
-                    for (from, to, count) in causal.barrier(&histories) {
-                        obs.trace.gossip(
-                            epoch_t_us(epoch),
-                            &format!("job-{}", jobs[admitted[from]].id),
-                            &format!("job-{}", jobs[admitted[to]].id),
-                            count,
-                        );
-                    }
-                }
-                // Exit cost 0: the epoch's work is already attributed to
-                // the nested job spans (the fold treats exit cost as
-                // *self* weight, so a nonzero epoch cost would double
-                // count).
-                obs.trace.exit(epoch_t_us(epoch), 0);
-            }
-            epochs.push(report);
-            epoch += 1;
+        let Some(ledger) = self.ledger.as_mut() else { return };
+        let outcome = ledger.rebalance(&finished, &claims);
+        report.ledger_reclaimed = outcome.reclaimed;
+        report.ledger_granted = outcome.granted;
+        self.reclaimed += outcome.reclaimed;
+        self.granted += outcome.granted;
+        if outcome.reclaimed > 0 {
+            self.obs.trace.point(t, "ledger-reclaimed", outcome.reclaimed);
         }
-        if let Some(obs) = obs.as_mut() {
-            // In-trace self-check: `trace2critpath` cross-checks the
-            // epoch count it reconstructs against this final point.
-            obs.trace.point(epoch_t_us(epochs.len()), "fleet-epochs", epochs.len() as u64);
+        if outcome.granted > 0 {
+            self.obs.trace.point(t, "ledger-granted", outcome.granted);
         }
+        // Re-granted slices resume their jobs.
+        for &(account, _) in &claims {
+            let (s, pos) = self.slot_of_account[account];
+            let slot = &mut self.shards[s].slots[pos];
+            if slot.suspended && !ledger.account(account).exhausted() {
+                slot.suspended = false;
+                slot.session.resume_stepping();
+                let name = format!("resume-{}", slot.session.spec().id);
+                self.obs.trace.point(t, &name, ledger.account(account).allowance);
+            }
+        }
+    }
 
+    /// History gossip: folds every shard's store into one union (in the
+    /// configured order) and redistributes it, timing the merge.
+    fn gossip(&mut self, report: &mut EpochReport) -> Result<()> {
+        if !self.config.gossip || self.shards.len() < 2 {
+            return Ok(());
+        }
+        let timer = WallClockScope::start();
+        let stores: Vec<HistoryStore> =
+            self.shards.iter().map(|s| s.client.with(|c| HistoryStore::from_client(c))).collect();
+        let (union, conflicts) = fold_stores(&stores, self.config.merge_order)?;
+        for (shard, store) in self.shards.iter_mut().zip(&stores) {
+            let adopted = union.num_responses() - store.num_responses();
+            report.adopted_responses += adopted as u64;
+            if adopted > 0 {
+                shard.client.with(|c| c.import_entries(&union.cache));
+                shard.refresh_known();
+            }
+        }
+        report.merge_conflicts = conflicts;
+        self.adopted += report.adopted_responses;
+        self.conflicts += conflicts;
+        timer.stop_into(
+            &mut self.wall,
+            WallKey::phase("gossip-merge").at_epoch(report.epoch as u64),
+        );
+        Ok(())
+    }
+
+    /// Traces the causal adoption edges of every walk's history since
+    /// the last call (nothing for isolated shards).
+    fn trace_adoptions(&mut self, t: u64) {
+        let Some(causal) = self.causal.as_mut() else { return };
+        let histories: Vec<&[NodeId]> = self
+            .slot_of_account
+            .iter()
+            .map(|&(s, pos)| self.shards[s].slots[pos].session.walker().history())
+            .collect();
+        for (from, to, count) in causal.barrier(&histories) {
+            let from = format!("job-{}", self.jobs[self.admitted[from]].id);
+            let to = format!("job-{}", self.jobs[self.admitted[to]].id);
+            self.obs.trace.gossip(t, &from, &to, count);
+        }
+    }
+
+    fn fleet_unique_queries(&self) -> u64 {
+        self.shards.iter().map(|s| s.client.with(|c| c.unique_queries())).sum()
+    }
+
+    fn makespan_secs(&self) -> f64 {
+        self.shards.iter().map(|s| s.pipeline.clock().now()).fold(0.0, f64::max)
+    }
+
+    /// Closes the planes and assembles the report.
+    fn finish(mut self) -> Result<FleetReport> {
+        // In-trace self-check: `trace2critpath` cross-checks the epoch
+        // count it reconstructs against this final point.
+        let epochs = self.epochs.len();
+        self.obs.trace.point(epoch_t_us(epochs), "fleet-epochs", epochs as u64);
         // Final quality drain (idempotent — the observer cursor makes a
         // re-drain of already-folded history a no-op): covers runs that
         // never crossed a barrier, e.g. zero-step jobs whose only sample
         // is the seed position.
-        if let Some(acc) = quality.as_mut() {
-            for &(s, pos) in &slot_of_account {
-                let slot = &mut shards[s].slots[pos];
-                let samples = slot.observer.drain(&slot.session);
-                acc.observe(&slot.session.spec().id, &samples);
-            }
+        for &(s, pos) in &self.slot_of_account {
+            let slot = &mut self.shards[s].slots[pos];
+            let samples = slot.observer.drain(&slot.session);
+            self.quality.observe(&slot.session.spec().id, &samples);
         }
-
-        // ── Finalize outcomes in submission order: run slots first, then
-        // placeholders for jobs admission kept off the fleet.
-        let mut indexed: Vec<(usize, JobOutcome)> = Vec::with_capacity(jobs.len());
-        let mut aggregate_stats = RewireStats::default();
-        let mut cut_jobs = 0u64;
-        for shard in &mut shards {
-            for slot in &mut shard.slots {
-                let mut outcome = finalize_session(&mut slot.session, !slot.cut)?;
-                outcome.finished_secs = slot.finished_secs;
-                // A quality-met job stopped early *because it met its
-                // goal*: it completes by SLO even though its session
-                // never exhausted the step budget.
-                if slot.quality_met {
-                    outcome.completed = true;
-                }
-                if slot.cut {
-                    cut_jobs += 1;
-                }
-                if let Some(s) = outcome.stats {
-                    aggregate_stats += s;
-                }
-                indexed.push((slot.orig, outcome));
-            }
-        }
-        for d in &decisions {
-            if !d.verdict.admitted() {
-                let spec = &jobs[d.job_index];
-                indexed.push((
-                    d.job_index,
-                    JobOutcome {
-                        id: spec.id.clone(),
-                        algorithm: spec.algo.name(),
-                        steps: 0,
-                        completed: false,
-                        final_node: spec.start,
-                        history: Vec::new(),
-                        stats: None,
-                        scan: None,
-                        mh: None,
-                        avg_degree_estimate: None,
-                        finished_secs: None,
-                    },
-                ));
-            }
-        }
-        indexed.sort_unstable_by_key(|(j, _)| *j);
-
-        // The fleet-wide union store: every shard's cache plus every
-        // rewiring walker's overlay delta (in submission order).
-        let stores: Vec<HistoryStore> =
-            shards.iter().map(|s| s.client.with(|c| HistoryStore::from_client(c))).collect();
-        let (mut union, fold_conflicts) = fold_stores(&stores, self.config.merge_order)?;
-        total_conflicts += fold_conflicts;
-        for shard in &shards {
-            for slot in &shard.slots {
-                if let Some(delta) = slot.session.walker().overlay() {
-                    let overlay_only = HistoryStore {
-                        removed: delta.removed_edges().map(|e| (e.small(), e.large())).collect(),
-                        added: delta.added_edges().map(|e| (e.small(), e.large())).collect(),
-                        ..Default::default()
-                    };
-                    let outcome =
-                        union.merge(&overlay_only).map_err(ServeError::SnapshotMismatch)?;
-                    total_conflicts += outcome.conflicts;
-                }
-            }
-        }
-
-        // Fleet-wide pipeline counters (satellite surface for the
-        // adaptive-concurrency ramps and token-bucket stalls).
+        let (outcomes, aggregate_stats, cut_jobs) = self.outcomes()?;
+        let union = self.union_store()?;
         let mut pipeline_stats = PipelineStats::default();
-        for shard in &shards {
-            let s = shard.pipeline.stats();
-            pipeline_stats.submitted += s.submitted;
-            pipeline_stats.completed += s.completed;
-            pipeline_stats.timeouts += s.timeouts;
-            pipeline_stats.rate_limit_stalls += s.rate_limit_stalls;
-            pipeline_stats.transient_retries += s.transient_retries;
-            pipeline_stats.ramp_ups += s.ramp_ups;
-            pipeline_stats.ramp_downs += s.ramp_downs;
-            pipeline_stats.latency_backoffs += s.latency_backoffs;
+        for shard in &self.shards {
+            pipeline_stats += shard.pipeline.stats();
         }
-
-        // Final registry fill: walker telemetry (deterministic plane,
-        // summed over jobs in submission order) plus cache/arena figures
-        // (W-dependent: per-shard caches diverge with the shard count).
-        if let Some(obs) = obs.as_mut() {
-            // A nonzero underflow count means an exit was submitted with
-            // no open span — an instrumentation bug the metrics surface
-            // must report rather than silently drop.
-            let underflows = obs.trace.underflows();
-            let reg = &mut obs.registry;
-            reg.inc("trace-underflows", underflows);
-            reg.inc("gossip-causal-adoptions", causal.as_ref().map_or(0, |c| c.total));
-            reg.inc("unique-nodes-crawled", union.num_responses() as u64);
-            for shard in &shards {
-                reg.inc("total-lookups", shard.client.with(|c| c.total_lookups()));
-                reg.inc("transient-retries", shard.client.with(|c| c.transient_retries()));
-                reg.inc(
-                    "arena-rewrites-in-place",
-                    shard.client.with(|c| c.arena().rewrites_in_place()),
-                );
-                reg.inc("arena-leaked-ids", shard.client.with(|c| c.arena().leaked_ids()));
-            }
-            for (_, o) in &indexed {
-                if let Some((proposals, rejections)) = o.mh {
-                    reg.inc("mh-proposals", proposals);
-                    reg.inc("mh-rejections", rejections);
-                }
-                if let Some(scan) = o.scan {
-                    reg.inc("criterion-scans", scan.criterion_scans);
-                    reg.inc("criterion-scanned", scan.criterion_scanned);
-                    reg.gauge_max("max-scan-len", scan.max_scan);
-                }
-                if let Some(s) = o.stats {
-                    reg.inc("rewire-removals", s.removals);
-                    reg.inc("rewire-replacements", s.replacements);
-                    reg.inc("rewire-replacement-rejections", s.replacement_rejections);
-                }
-            }
+        self.fill_registry(&outcomes, &union);
+        // Each shard pipeline's accumulated replay time: one figure per
+        // shard, not per epoch — the pipeline does not know about
+        // barriers.
+        for (s, shard) in self.shards.iter_mut().enumerate() {
+            let key = WallKey::phase("pipeline-replay").on_shard(s as u64);
+            self.wall.record(key, shard.pipeline.take_wall());
         }
-
-        // Wall plane: fold each shard pipeline's accumulated replay time
-        // (one figure per shard, not per epoch — the pipeline does not
-        // know about barriers).
-        if let Some(wall) = wall.as_mut() {
-            for (s, shard) in shards.iter_mut().enumerate() {
-                if let Some(replay) = shard.pipeline.take_wall() {
-                    wall.record(
-                        mto_obs::WallKey::phase("pipeline-replay").on_shard(s as u64),
-                        replay,
-                    );
-                }
-            }
-        }
-
         Ok(FleetReport {
-            outcomes: indexed.into_iter().map(|(_, o)| o).collect(),
-            shards: shards.len(),
-            total_unique_queries: shards
-                .iter()
-                .map(|s| s.client.with(|c| c.unique_queries()))
-                .sum(),
-            gossip_adopted_responses: total_adopted,
-            merge_conflicts: total_conflicts,
-            makespan_secs: shards.iter().map(|s| s.pipeline.clock().now()).fold(0.0, f64::max),
+            outcomes,
+            shards: self.shards.len(),
+            total_unique_queries: self.fleet_unique_queries(),
+            gossip_adopted_responses: self.adopted,
+            merge_conflicts: self.conflicts,
+            makespan_secs: self.makespan_secs(),
             aggregate_stats,
             union_store: union,
-            ledger: ledger.map(|l| LedgerSummary {
+            ledger: self.ledger.map(|l| LedgerSummary {
                 total: l.total(),
                 spent: l.total_spent(),
-                reclaimed: total_reclaimed,
-                granted: total_granted,
+                reclaimed: self.reclaimed,
+                granted: self.granted,
                 pool: l.pool(),
                 cut_jobs,
             }),
-            admission: decisions,
-            epochs,
+            admission: self.decisions,
+            epochs: self.epochs,
             pipeline_stats,
-            obs,
-            wall,
-            quality: quality.map(|acc| acc.report()),
+            obs: self.obs,
+            wall: self.wall,
+            quality: self.quality.report(),
         })
+    }
+
+    /// Finalizes outcomes in submission order — run slots plus
+    /// placeholders for jobs admission kept off the fleet — with the
+    /// aggregate rewiring counters and the number of budget-cut jobs.
+    fn outcomes(&mut self) -> Result<(Vec<JobOutcome>, RewireStats, u64)> {
+        let mut indexed: Vec<(usize, JobOutcome)> = Vec::with_capacity(self.jobs.len());
+        let mut aggregate_stats = RewireStats::default();
+        let mut cut_jobs = 0u64;
+        for slot in self.shards.iter_mut().flat_map(|s| s.slots.iter_mut()) {
+            let mut outcome = finalize_session(&mut slot.session, !slot.cut)?;
+            outcome.finished_secs = slot.finished_secs;
+            // A quality-met job stopped early *because it met its goal*:
+            // it completes by SLO even though its session never
+            // exhausted the step budget.
+            outcome.completed |= slot.quality_met;
+            cut_jobs += u64::from(slot.cut);
+            if let Some(s) = outcome.stats {
+                aggregate_stats += s;
+            }
+            indexed.push((slot.orig, outcome));
+        }
+        for d in self.decisions.iter().filter(|d| !d.verdict.admitted()) {
+            let spec = &self.jobs[d.job_index];
+            indexed.push((
+                d.job_index,
+                JobOutcome {
+                    id: spec.id.clone(),
+                    algorithm: spec.algo.name(),
+                    steps: 0,
+                    completed: false,
+                    final_node: spec.start,
+                    history: Vec::new(),
+                    stats: None,
+                    scan: None,
+                    mh: None,
+                    avg_degree_estimate: None,
+                    finished_secs: None,
+                },
+            ));
+        }
+        indexed.sort_unstable_by_key(|(j, _)| *j);
+        Ok((indexed.into_iter().map(|(_, o)| o).collect(), aggregate_stats, cut_jobs))
+    }
+
+    /// The fleet-wide union store: every shard's cache plus every
+    /// rewiring walker's overlay delta (in submission order). Its merge
+    /// conflicts add to the run's total.
+    fn union_store(&mut self) -> Result<HistoryStore> {
+        let stores: Vec<HistoryStore> =
+            self.shards.iter().map(|s| s.client.with(|c| HistoryStore::from_client(c))).collect();
+        let (mut union, conflicts) = fold_stores(&stores, self.config.merge_order)?;
+        self.conflicts += conflicts;
+        for slot in self.shards.iter().flat_map(|s| &s.slots) {
+            if let Some(delta) = slot.session.walker().overlay() {
+                let overlay_only = HistoryStore {
+                    removed: delta.removed_edges().map(|e| (e.small(), e.large())).collect(),
+                    added: delta.added_edges().map(|e| (e.small(), e.large())).collect(),
+                    ..Default::default()
+                };
+                let outcome = union.merge(&overlay_only).map_err(ServeError::SnapshotMismatch)?;
+                self.conflicts += outcome.conflicts;
+            }
+        }
+        Ok(union)
+    }
+
+    /// Final registry fill: walker telemetry (deterministic plane,
+    /// summed over jobs in submission order) plus cache/arena figures
+    /// (W-dependent: per-shard caches diverge with the shard count).
+    fn fill_registry(&mut self, outcomes: &[JobOutcome], union: &HistoryStore) {
+        // A nonzero underflow count means an exit was submitted with no
+        // open span — an instrumentation bug the metrics surface must
+        // report rather than silently drop.
+        let underflows = self.obs.trace.underflows();
+        let reg = &mut self.obs.registry;
+        reg.inc("trace-underflows", underflows);
+        reg.inc("gossip-causal-adoptions", self.causal.as_ref().map_or(0, |c| c.total));
+        reg.inc("unique-nodes-crawled", union.num_responses() as u64);
+        for shard in &self.shards {
+            shard.client.with(|c| {
+                reg.inc("total-lookups", c.total_lookups());
+                reg.inc("transient-retries", c.transient_retries());
+                reg.inc("arena-rewrites-in-place", c.arena().rewrites_in_place());
+                reg.inc("arena-leaked-ids", c.arena().leaked_ids());
+            });
+        }
+        for o in outcomes {
+            if let Some((proposals, rejections)) = o.mh {
+                reg.inc("mh-proposals", proposals);
+                reg.inc("mh-rejections", rejections);
+            }
+            if let Some(scan) = o.scan {
+                reg.inc("criterion-scans", scan.criterion_scans);
+                reg.inc("criterion-scanned", scan.criterion_scanned);
+                reg.gauge_max("max-scan-len", scan.max_scan);
+            }
+            if let Some(s) = o.stats {
+                reg.inc("rewire-removals", s.removals);
+                reg.inc("rewire-replacements", s.replacements);
+                reg.inc("rewire-replacement-rejections", s.replacement_rejections);
+            }
+        }
     }
 }
 
@@ -1208,11 +1114,7 @@ where
 fn fold_stores(stores: &[HistoryStore], order: MergeOrder) -> Result<(HistoryStore, u64)> {
     let mut union = HistoryStore::default();
     let mut conflicts = 0u64;
-    let indices: Vec<usize> = match order {
-        MergeOrder::Forward => (0..stores.len()).collect(),
-        MergeOrder::Reverse => (0..stores.len()).rev().collect(),
-    };
-    for i in indices {
+    for i in order.indices(stores.len()) {
         let outcome = union.merge(&stores[i]).map_err(ServeError::SnapshotMismatch)?;
         conflicts += outcome.conflicts;
     }
@@ -1614,13 +1516,11 @@ mod tests {
                 shards,
                 epoch_quantum: 32,
                 fleet_budget: Some(10_000),
-                obs: true,
                 ..Default::default()
             })
             .run(deadline_jobs())
             .unwrap()
             .obs
-            .expect("obs was requested")
         };
         let reference = observe(1);
         let encoded = mto_obs::encode_trace(&reference.trace);
@@ -1671,14 +1571,13 @@ mod tests {
                 shards,
                 epoch_quantum: 32,
                 fleet_budget: Some(10_000),
-                obs: true,
                 ..Default::default()
             })
             .run(deadline_jobs())
             .unwrap()
         };
         let reference = run(1);
-        let data = reference.obs.as_ref().expect("obs was requested");
+        let data = &reference.obs;
         let model = mto_obs::critpath::FleetModel::from_records(data.trace.events())
             .expect("fleet traces parse into the epoch/job model");
         let path = mto_obs::critpath::critical_path(&model).expect("the run has epochs");
@@ -1691,7 +1590,7 @@ mod tests {
         let lanes = mto_obs::timeline::render(&model).expect("fleet traces have epoch lanes");
         for shards in [2, 4] {
             let other = run(shards);
-            let other_data = other.obs.as_ref().expect("obs was requested");
+            let other_data = &other.obs;
             let other_model =
                 mto_obs::critpath::FleetModel::from_records(other_data.trace.events())
                     .expect("fleet traces parse into the epoch/job model");
@@ -1703,30 +1602,20 @@ mod tests {
 
     #[test]
     fn wall_plane_reports_phases_without_perturbing_the_deterministic_plane() {
-        let run = |wall| {
-            barbell_fleet(FleetConfig {
-                shards: 2,
-                epoch_quantum: 32,
-                obs: true,
-                wall,
-                ..Default::default()
-            })
-            .run(mixed_jobs())
-            .unwrap()
+        let run = || {
+            barbell_fleet(FleetConfig { shards: 2, epoch_quantum: 32, ..Default::default() })
+                .run(mixed_jobs())
+                .unwrap()
         };
-        let plain = run(false);
-        assert!(plain.wall.is_none(), "the wall plane is strictly opt-in");
-        let timed = run(true);
-        // The determinism contract with the wall plane enabled: results,
-        // bills, trace bytes, and the whole metrics registry are
-        // identical to the uninstrumented run.
-        assert_eq!(timed.results_digest(), plain.results_digest());
-        assert_eq!(timed.total_unique_queries, plain.total_unique_queries);
-        let (a, b) = (plain.obs.as_ref().unwrap(), timed.obs.as_ref().unwrap());
-        assert_eq!(mto_obs::encode_trace(&b.trace), mto_obs::encode_trace(&a.trace));
-        assert_eq!(b.registry, a.registry, "wall figures must never leak into metrics");
+        let (a, b) = (run(), run());
+        // Wall figures differ run to run; results, bills, trace bytes,
+        // and the whole metrics registry may not.
+        assert_eq!(a.results_digest(), b.results_digest());
+        assert_eq!(a.total_unique_queries, b.total_unique_queries);
+        assert_eq!(mto_obs::encode_trace(&a.obs.trace), mto_obs::encode_trace(&b.obs.trace));
+        assert_eq!(a.obs.registry, b.obs.registry, "wall figures must never leak into metrics");
 
-        let wall = timed.wall.expect("wall was requested");
+        let wall = &a.wall;
         assert!(!wall.is_empty());
         for (key, stats) in wall.iter() {
             match key.phase {
@@ -1745,66 +1634,49 @@ mod tests {
         }
         // Every epoch has both shards' service and a barrier row; the
         // replay fold covers both shard pipelines.
-        for e in 0..timed.epochs.len() as u64 {
+        for e in 0..a.epochs.len() as u64 {
             for s in 0..2 {
-                let key = mto_obs::WallKey::phase("shard-service").at_epoch(e).on_shard(s);
+                let key = WallKey::phase("shard-service").at_epoch(e).on_shard(s);
                 assert!(wall.get(&key).is_some(), "missing {key:?}");
             }
-            let key = mto_obs::WallKey::phase("barrier-wait").at_epoch(e);
+            let key = WallKey::phase("barrier-wait").at_epoch(e);
             assert!(wall.get(&key).is_some(), "missing {key:?}");
         }
         for s in 0..2 {
-            let key = mto_obs::WallKey::phase("pipeline-replay").on_shard(s);
+            let key = WallKey::phase("pipeline-replay").on_shard(s);
             assert!(wall.get(&key).is_some(), "missing {key:?}");
         }
         assert!(wall.total().nanos > 0, "wall clocks advance");
     }
 
     #[test]
-    fn unobserved_runs_collect_nothing_and_observed_runs_match_results() {
-        let run = |obs| {
-            barbell_fleet(FleetConfig { shards: 2, epoch_quantum: 32, obs, ..Default::default() })
+    fn the_registry_cross_checks_the_outcomes() {
+        let report =
+            barbell_fleet(FleetConfig { shards: 2, epoch_quantum: 32, ..Default::default() })
                 .run(mixed_jobs())
-                .unwrap()
-        };
-        let plain = run(false);
-        assert!(plain.obs.is_none(), "obs is strictly opt-in");
-        let observed = run(true);
-        let data = observed.obs.as_ref().expect("obs was requested");
-        // Observation is read-only: results and bills are untouched.
-        assert_eq!(observed.results_digest(), plain.results_digest());
-        assert_eq!(observed.total_unique_queries, plain.total_unique_queries);
-        // The registry cross-checks the outcomes it was derived from.
-        let steps: u64 = observed.outcomes.iter().map(|o| o.steps as u64).sum();
-        assert_eq!(data.registry.counter("walk-steps"), steps);
+                .unwrap();
+        let steps: u64 = report.outcomes.iter().map(|o| o.steps as u64).sum();
+        assert_eq!(report.obs.registry.counter("walk-steps"), steps);
         assert_eq!(
-            data.registry.counter("unique-nodes-crawled"),
-            observed.union_store.num_responses() as u64
+            report.obs.registry.counter("unique-nodes-crawled"),
+            report.union_store.num_responses() as u64
         );
     }
 
     #[test]
-    fn quality_plane_is_shard_invariant_and_strictly_opt_in() {
-        let run = |shards, merge_order, quality| {
+    fn quality_plane_is_shard_invariant() {
+        let run = |shards, merge_order| {
             barbell_fleet(FleetConfig {
                 shards,
                 merge_order,
                 epoch_quantum: 32,
-                obs: true,
-                quality,
                 ..Default::default()
             })
             .run(mixed_jobs())
             .unwrap()
         };
-        let plain = run(2, MergeOrder::Forward, false);
-        assert!(plain.quality.is_none(), "the quality plane is strictly opt-in");
-
-        let reference = run(1, MergeOrder::Forward, true);
-        let report = reference.quality.as_ref().expect("quality was requested");
-        // Observation is read-only: results and bills are untouched by
-        // the plane (no job declared an SLO, so nothing stops early).
-        assert_eq!(reference.results_digest(), plain.results_digest());
+        let reference = run(1, MergeOrder::Forward);
+        let report = &reference.quality;
         for (id, figures) in &report.jobs {
             let outcome = reference.outcomes.iter().find(|o| &o.id == id).unwrap();
             assert_eq!(
@@ -1820,24 +1692,23 @@ mod tests {
         // Every figure is a pure function of the walks, so the report —
         // and the quality trace stamps — are byte-identical across
         // shard counts and fold orders.
-        let encoded = mto_obs::encode_trace(&reference.obs.as_ref().unwrap().trace);
+        let encoded = mto_obs::encode_trace(&reference.obs.trace);
         assert!(
-            reference.obs.as_ref().unwrap().trace.events().iter().any(|e| matches!(
+            reference.obs.trace.events().iter().any(|e| matches!(
                 e,
                 mto_obs::TraceRecord::Point { name, .. } if name.starts_with("quality-ess-")
             )),
-            "quality runs stamp per-epoch ESS points"
+            "every run stamps per-epoch ESS points"
         );
         for shards in [2, 4] {
             for order in [MergeOrder::Forward, MergeOrder::Reverse] {
-                let other = run(shards, order, true);
+                let other = run(shards, order);
                 assert_eq!(
-                    other.quality.as_ref(),
-                    Some(report),
+                    &other.quality, report,
                     "quality figures diverged at W={shards} {order:?}"
                 );
                 assert_eq!(
-                    mto_obs::encode_trace(&other.obs.as_ref().unwrap().trace),
+                    mto_obs::encode_trace(&other.obs.trace),
                     encoded,
                     "quality trace diverged at W={shards} {order:?}"
                 );
@@ -1872,8 +1743,6 @@ mod tests {
                 shards,
                 epoch_quantum: 50,
                 fleet_budget: Some(10_000),
-                obs: true,
-                quality: true,
                 ..Default::default()
             })
             .run(jobs())
@@ -1891,8 +1760,7 @@ mod tests {
         let plain = report.outcomes.iter().find(|o| o.id == "plain").unwrap();
         assert_eq!((plain.steps, plain.completed), (300, true), "non-SLO jobs run to budget");
 
-        let quality = report.quality.as_ref().expect("quality was requested");
-        let figures = &quality.jobs["converge"];
+        let figures = &report.quality.jobs["converge"];
         assert!(figures.met && figures.target_ess == Some(10));
         assert!(figures.ess >= 10.0, "the latch means the target was reached");
 
@@ -1901,7 +1769,7 @@ mod tests {
         let ledger = report.ledger.as_ref().expect("the run was budgeted");
         assert!(ledger.reclaimed > 0, "an early-stopped job reclaims budget");
         assert_eq!(ledger.cut_jobs, 0, "a generous budget cuts nobody");
-        let trace = &report.obs.as_ref().unwrap().trace;
+        let trace = &report.obs.trace;
         assert!(
             trace.events().iter().any(|e| matches!(
                 e,
@@ -1915,7 +1783,7 @@ mod tests {
         for shards in [1, 4] {
             let other = run(shards);
             assert_eq!(other.results_digest(), report.results_digest(), "W={shards}");
-            assert_eq!(other.quality.as_ref(), report.quality.as_ref(), "W={shards}");
+            assert_eq!(other.quality, report.quality, "W={shards}");
         }
     }
 }

@@ -52,10 +52,9 @@ pub struct LedgerSummary {
     pub cut_jobs: u64,
 }
 
-/// Observability the coordinator collected when
-/// [`crate::FleetConfig::obs`] is on: the fleet-wide metrics registry
-/// (per-shard registries merged at every epoch barrier, like the
-/// history gossip) and the deterministic trace.
+/// The deterministic observability plane of a fleet run: the
+/// fleet-wide metrics registry (per-shard pipeline histograms folded at
+/// every epoch barrier, like the history gossip) and the trace.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FleetObsData {
     /// Counters, gauges, and histograms merged across shards. Timing
@@ -104,23 +103,20 @@ pub struct FleetReport {
     /// Per-shard pipeline counters summed fleet-wide: ramp-ups/downs,
     /// latency backoffs, token-bucket stalls, retries, timeouts.
     pub pipeline_stats: PipelineStats,
-    /// Metrics and trace, when the run was observed
-    /// ([`crate::FleetConfig::obs`]).
-    pub obs: Option<FleetObsData>,
-    /// Wall-clock telemetry (`Some` iff [`crate::FleetConfig::wall`]):
-    /// per-epoch/per-shard service time, barrier waits, gossip-merge
-    /// cost, pipeline replay time. Deliberately **not** covered by
-    /// [`FleetReport::results_digest`] or any deterministic surface —
-    /// wall figures vary run to run by nature.
-    pub wall: Option<mto_obs::wallclock::WallClockRegistry>,
-    /// Estimator-quality figures (`Some` iff
-    /// [`crate::FleetConfig::quality`]): per-job streaming ESS, windowed
+    /// Metrics and trace (the deterministic plane).
+    pub obs: FleetObsData,
+    /// Wall-clock telemetry: per-epoch/per-shard service time, barrier
+    /// waits, gossip-merge cost, pipeline replay time. Deliberately
+    /// **not** covered by [`FleetReport::results_digest`] or any
+    /// deterministic surface — wall figures vary run to run by nature.
+    pub wall: mto_obs::wallclock::WallClockRegistry,
+    /// Estimator-quality figures: per-job streaming ESS, windowed
     /// Geweke z, SLO status, and the cross-chain R-hat, folded from slot
     /// sample series at every epoch barrier. Every figure is a pure
     /// function of the walks, so the report — like the `metric
     /// quality-*` lines derived from it — is byte-identical across shard
     /// counts.
-    pub quality: Option<mto_obs::quality::QualityReport>,
+    pub quality: mto_obs::quality::QualityReport,
 }
 
 impl FleetReport {

@@ -142,12 +142,24 @@ pub struct PipelineStats {
     pub latency_backoffs: u64,
 }
 
-/// Optional pipeline observability: queue-wait and service-time
-/// distributions in integer virtual microseconds, recorded at the
-/// moment each completion fires. Off (`None`) by default — the hot path
-/// pays one `Option` branch per completion, nothing per step — and
-/// harvested into a [`mto_obs::MetricsRegistry`] by whoever owns the
-/// pipeline (the fleet does it per shard, merging at epoch barriers).
+impl std::ops::AddAssign for PipelineStats {
+    fn add_assign(&mut self, other: PipelineStats) {
+        self.submitted += other.submitted;
+        self.completed += other.completed;
+        self.timeouts += other.timeouts;
+        self.rate_limit_stalls += other.rate_limit_stalls;
+        self.transient_retries += other.transient_retries;
+        self.ramp_ups += other.ramp_ups;
+        self.ramp_downs += other.ramp_downs;
+        self.latency_backoffs += other.latency_backoffs;
+    }
+}
+
+/// Pipeline observability: queue-wait and service-time distributions in
+/// integer virtual microseconds, recorded at the moment each completion
+/// fires and harvested into a [`mto_obs::MetricsRegistry`] by whoever
+/// owns the pipeline (the fleet does it per shard, merging at epoch
+/// barriers).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PipelineObs {
     /// `started − submitted` per completion: virtual µs spent queueing
@@ -201,13 +213,12 @@ pub struct QueryPipeline<I> {
     log: Vec<String>,
     next_id: RequestId,
     stats: PipelineStats,
-    /// Latency histograms, recorded per completion when enabled.
-    obs: Option<PipelineObs>,
+    /// Latency histograms, recorded per completion.
+    obs: PipelineObs,
     /// Wall-plane accumulator: real nanoseconds spent replaying
-    /// completions (the backing query plus event bookkeeping), when
-    /// enabled. Lives outside the determinism contract — nothing
-    /// virtual ever reads it.
-    wall: Option<mto_obs::WallStats>,
+    /// completions (the backing query plus event bookkeeping). Lives
+    /// outside the determinism contract — nothing virtual ever reads it.
+    wall: mto_obs::WallStats,
 }
 
 impl<I: SocialNetworkInterface> QueryPipeline<I> {
@@ -238,42 +249,21 @@ impl<I: SocialNetworkInterface> QueryPipeline<I> {
             log: Vec::new(),
             next_id: 0,
             stats: PipelineStats::default(),
-            obs: None,
-            wall: None,
+            obs: PipelineObs::default(),
+            wall: mto_obs::WallStats::default(),
             config,
         }
     }
 
-    /// Starts recording per-completion latency histograms (idempotent;
-    /// already-recorded samples are kept).
-    pub fn enable_obs(&mut self) {
-        if self.obs.is_none() {
-            self.obs = Some(PipelineObs::default());
-        }
+    /// Drains the latency histograms recorded since the last take.
+    pub fn take_obs(&mut self) -> PipelineObs {
+        std::mem::take(&mut self.obs)
     }
 
-    /// The recorded latency histograms, when enabled.
-    pub fn obs(&self) -> Option<&PipelineObs> {
-        self.obs.as_ref()
-    }
-
-    /// Detaches and returns the recorded latency histograms.
-    pub fn take_obs(&mut self) -> Option<PipelineObs> {
-        self.obs.take()
-    }
-
-    /// Starts recording wall-clock replay time (idempotent). Purely
-    /// observational: completions, logs, and stats are byte-identical
-    /// with the wall plane on or off.
-    pub fn enable_wall(&mut self) {
-        if self.wall.is_none() {
-            self.wall = Some(mto_obs::WallStats::default());
-        }
-    }
-
-    /// Detaches and returns the accumulated wall-clock replay stats.
-    pub fn take_wall(&mut self) -> Option<mto_obs::WallStats> {
-        self.wall.take()
+    /// Drains the wall-clock replay time accumulated since the last
+    /// take. Purely observational: nothing virtual ever reads it.
+    pub fn take_wall(&mut self) -> mto_obs::WallStats {
+        std::mem::take(&mut self.wall)
     }
 
     /// The clock this pipeline advances.
@@ -457,7 +447,7 @@ impl<I: SocialNetworkInterface> QueryPipeline<I> {
     /// failures), and logs it.
     fn fire_next_event(&mut self) -> Option<Completion> {
         let event = self.events.pop()?;
-        let scope = self.wall.is_some().then(mto_obs::WallClockScope::start);
+        let scope = mto_obs::WallClockScope::start();
         let p = event.payload;
         self.clock.advance_to_us(event.time_us);
 
@@ -472,10 +462,8 @@ impl<I: SocialNetworkInterface> QueryPipeline<I> {
             }
         };
         self.stats.completed += 1;
-        if let Some(obs) = self.obs.as_mut() {
-            obs.queue_wait_us.record(p.started_us.saturating_sub(p.submitted_us));
-            obs.service_time_us.record(event.time_us.saturating_sub(p.started_us));
-        }
+        self.obs.queue_wait_us.record(p.started_us.saturating_sub(p.submitted_us));
+        self.obs.service_time_us.record(event.time_us.saturating_sub(p.started_us));
         if self.recent_latency.len() == LATENCY_WINDOW {
             self.recent_latency.pop_front();
         }
@@ -489,9 +477,7 @@ impl<I: SocialNetworkInterface> QueryPipeline<I> {
             "#{} node={} submit={}us start={}us done={}us attempts={} {}",
             p.id, p.node, p.submitted_us, p.started_us, event.time_us, p.attempts, summary
         ));
-        if let (Some(wall), Some(scope)) = (self.wall.as_mut(), scope) {
-            wall.absorb(scope.stop());
-        }
+        self.wall.absorb(scope.stop());
         Some(Completion {
             id: p.id,
             node: p.node,
@@ -897,28 +883,27 @@ mod tests {
 
     #[test]
     fn wall_plane_observes_replay_without_perturbing_the_stream() {
-        let run = |wall: bool| {
+        let run = || {
             let mut p = pipeline(PipelineConfig {
                 max_in_flight: 4,
                 latency: LatencyModel::LogNormal { median_secs: 0.2, sigma: 0.8 },
                 seed: 77,
                 ..Default::default()
             });
-            if wall {
-                p.enable_wall();
-            }
             for v in 0..12u32 {
                 p.submit(NodeId(v % 22));
             }
             p.drain();
-            (p.log_text(), p.stats(), p.take_wall())
+            (p.log_text(), p.stats(), p.take_obs(), p.take_wall())
         };
-        let (log_on, stats_on, wall_on) = run(true);
-        let (log_off, stats_off, wall_off) = run(false);
-        assert_eq!(log_on, log_off, "wall plane must not perturb the completion stream");
-        assert_eq!(stats_on, stats_off);
-        assert_eq!(wall_off, None, "disabled: nothing collected");
-        let wall = wall_on.expect("enabled: replay observed");
+        let (log_a, stats_a, obs_a, wall) = run();
+        let (log_b, stats_b, obs_b, _) = run();
+        // Wall time varies run to run; the completion stream and the
+        // virtual-time histograms may not.
+        assert_eq!(log_a, log_b, "wall plane must not perturb the completion stream");
+        assert_eq!(stats_a, stats_b);
+        assert_eq!(obs_a, obs_b);
+        assert_eq!(obs_a.service_time_us.count(), 12, "one histogram sample per completion");
         assert_eq!(wall.count, 12, "one observation per completion");
         assert!(wall.nanos > 0, "replay spends real time: {wall:?}");
     }

@@ -4,9 +4,8 @@
 //! Exit status: 0 when the decoded record streams are identical, 1 when
 //! they diverge (the report names the event, the open span stack, the
 //! owning epoch and job) or when either file cannot be read/decoded.
-//! Byte-level differences that decode to identical records (a v1 and a
-//! v2 encoding of the same run) count as identical: the tool audits
-//! *behavior*, not serialization.
+//! The tool compares decoded records: it audits *behavior*, not
+//! serialization.
 
 use std::process::ExitCode;
 

@@ -98,7 +98,9 @@ pub fn render(model: &FleetModel, samples: &[PromSample]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::MetricsRegistry;
     use crate::prom;
+    use crate::quality::QualityReport;
     use crate::trace::TraceSink;
     use crate::wallclock::{WallClockRegistry, WallKey, WallStats};
 
@@ -135,7 +137,7 @@ mod tests {
             WallStats::from_nanos(40),
         );
         w.record(WallKey::phase("history-encode"), WallStats::from_nanos(9));
-        prom::parse(&prom::render(None, None, &w)).unwrap()
+        prom::parse(&prom::render(&MetricsRegistry::new(), &QualityReport::default(), &w)).unwrap()
     }
 
     #[test]
@@ -168,7 +170,9 @@ mod tests {
     fn out_of_range_epoch_labels_fall_into_unattributed() {
         let mut w = WallClockRegistry::new();
         w.record(WallKey::phase("shard-service").at_epoch(99), WallStats::from_nanos(5));
-        let samples = prom::parse(&prom::render(None, None, &w)).unwrap();
+        let samples =
+            prom::parse(&prom::render(&MetricsRegistry::new(), &QualityReport::default(), &w))
+                .unwrap();
         let text = render(&two_epoch_model(), &samples);
         assert!(text.contains("unattributed wall-ns 5 shard-service=5\n"), "{text}");
     }

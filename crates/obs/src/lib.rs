@@ -18,7 +18,7 @@
 //!   wall-clock, carrying causal structure (stable span ids, parent
 //!   links, cross-job gossip edges). Serialized through the
 //!   FNV-checksummed [`codec`] (`mto-trace/v2`, the same line-oriented
-//!   style as the history codec; v1 still decodes).
+//!   style as the history codec).
 //!
 //! On top of the recorder sits the **analysis layer**, all of it a pure
 //! function of decoded records: [`flame::fold`] (collapsed flamegraph
@@ -41,7 +41,7 @@
 //! burn-in attribution from a traced run.
 //!
 //! Beside the deterministic plane sits the **wall-clock plane**
-//! ([`wallclock`]): opt-in real-time telemetry — per-phase wall
+//! ([`wallclock`]): real-time telemetry — per-phase wall
 //! nanoseconds, barrier-wait time, and (behind the `wall-alloc`
 //! feature) allocation accounting — kept in a separate
 //! [`WallClockRegistry`] that is excluded from digests, traces, and
@@ -70,8 +70,7 @@ pub mod trace;
 pub mod wallclock;
 
 pub use codec::{
-    decode_trace, encode_trace, render_record, TraceCodecError, TRACE_MAGIC, TRACE_MIN_VERSION,
-    TRACE_VERSION,
+    decode_trace, encode_trace, render_record, TraceCodecError, TRACE_MAGIC, TRACE_VERSION,
 };
 pub use metrics::{percent, Histogram, MetricsRegistry};
 pub use trace::{TraceRecord, TraceSink, NO_SPAN};

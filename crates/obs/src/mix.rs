@@ -77,9 +77,9 @@ fn epoch_of(t_us: u64) -> u64 {
 
 impl MixModel {
     /// Folds the `quality-*` points of a decoded trace. Errors when the
-    /// trace carries none — the usual cause is a run without the
-    /// `quality` directive, which deserves a loud exit rather than an
-    /// empty report.
+    /// trace carries none — the usual cause is a single-client
+    /// (`shards`-free) run, whose trace has no epoch barriers to stamp
+    /// them at, which deserves a loud exit rather than an empty report.
     pub fn from_records(records: &[TraceRecord]) -> Result<MixModel, String> {
         let mut model = MixModel::default();
         for record in records {
@@ -114,7 +114,7 @@ impl MixModel {
         }
         if model.jobs.is_empty() && model.rhat.is_empty() {
             return Err(
-                "trace has no quality-* points — was the run missing the `quality` directive?"
+                "trace has no quality-* points — was it written by a fleet (`shards`) run?"
                     .to_string(),
             );
         }

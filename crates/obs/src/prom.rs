@@ -50,23 +50,20 @@ use crate::wallclock::WallClockRegistry;
 const ANOMALY_KINDS: [&str; 2] = ["trace-underflows", "merge-conflicts"];
 
 /// Renders one snapshot of all planes as Prometheus text exposition.
-/// `metrics` is the deterministic plane (`None` when the run collected
-/// no registry); `quality` is the estimator-quality plane (`None`
-/// without the `quality` directive); `wall` is the wall plane (empty is
-/// fine — the wall families are simply absent).
+/// `metrics` is the deterministic plane, `quality` the estimator-quality
+/// plane, `wall` the wall plane; an empty plane's families are simply
+/// absent.
 pub fn render(
-    metrics: Option<&MetricsRegistry>,
-    quality: Option<&QualityReport>,
+    metrics: &MetricsRegistry,
+    quality: &QualityReport,
     wall: &WallClockRegistry,
 ) -> String {
     let mut out = String::new();
-    if let Some(registry) = metrics {
-        render_counters(&mut out, registry);
-        render_gauges(&mut out, registry);
-        render_histograms(&mut out, registry);
-        render_anomalies(&mut out, registry);
-    }
-    if let Some(quality) = quality {
+    render_counters(&mut out, metrics);
+    render_gauges(&mut out, metrics);
+    render_histograms(&mut out, metrics);
+    render_anomalies(&mut out, metrics);
+    if !quality.jobs.is_empty() {
         render_quality(&mut out, quality);
     }
     render_wall(&mut out, wall);
@@ -364,7 +361,7 @@ mod tests {
     #[test]
     fn round_trip_parses_every_emitted_sample() {
         let (m, w) = sample_planes();
-        let text = render(Some(&m), None, &w);
+        let text = render(&m, &QualityReport::default(), &w);
         let samples = parse(&text).unwrap();
 
         let find = |name: &str, label: (&str, &str)| {
@@ -417,7 +414,10 @@ mod tests {
         wb.record(WallKey::phase("p1"), WallStats::from_nanos(20));
         wb.record(WallKey::phase("p2").on_shard(1), WallStats::from_nanos(10));
 
-        assert_eq!(render(Some(&a), None, &wa), render(Some(&b), None, &wb));
+        assert_eq!(
+            render(&a, &QualityReport::default(), &wa),
+            render(&b, &QualityReport::default(), &wb)
+        );
 
         // Merge order cannot move bytes either (the fleet folds shard
         // registries in grant order; the exposition must not care).
@@ -425,14 +425,17 @@ mod tests {
         ab.merge(&b);
         let mut ba = b.clone();
         ba.merge(&a);
-        assert_eq!(render(Some(&ab), None, &wa), render(Some(&ba), None, &wa));
+        assert_eq!(
+            render(&ab, &QualityReport::default(), &wa),
+            render(&ba, &QualityReport::default(), &wa)
+        );
     }
 
     #[test]
     fn label_values_escape_and_unescape() {
         let mut w = WallClockRegistry::new();
         w.record(WallKey::phase("odd \"phase\"\\with\nnewline"), WallStats::from_nanos(1));
-        let text = render(None, None, &w);
+        let text = render(&MetricsRegistry::new(), &QualityReport::default(), &w);
         assert!(
             text.contains(r#"phase="odd \"phase\"\\with\nnewline""#),
             "escaped exposition:\n{text}"
@@ -455,7 +458,7 @@ mod tests {
     #[test]
     fn anomaly_family_carries_what_metric_lines_carry() {
         let (m, w) = sample_planes();
-        let text = render(Some(&m), None, &w);
+        let text = render(&m, &QualityReport::default(), &w);
         let samples = parse(&text).unwrap();
         let kind = |k: &str| {
             samples
@@ -471,7 +474,7 @@ mod tests {
         let mut dirty = m.clone();
         dirty.inc("trace-underflows", 2);
         dirty.inc("merge-conflicts", 5);
-        let text = render(Some(&dirty), None, &w);
+        let text = render(&dirty, &QualityReport::default(), &w);
         let samples = parse(&text).unwrap();
         let dirty_kind = |k: &str| {
             samples
@@ -498,7 +501,7 @@ mod tests {
             acc.observe("b", &[(state >> 33) % 40]);
         }
         let report = acc.report();
-        let text = render(None, Some(&report), &WallClockRegistry::new());
+        let text = render(&MetricsRegistry::new(), &report, &WallClockRegistry::new());
         let samples = parse(&text).unwrap();
         let find = |name: &str, job: &str| {
             samples
@@ -528,7 +531,8 @@ mod tests {
 
     #[test]
     fn empty_planes_render_nothing() {
-        assert_eq!(render(None, None, &WallClockRegistry::new()), "");
-        assert_eq!(render(Some(&MetricsRegistry::new()), None, &WallClockRegistry::new()), "");
+        let empty =
+            render(&MetricsRegistry::new(), &QualityReport::default(), &WallClockRegistry::new());
+        assert_eq!(empty, "");
     }
 }

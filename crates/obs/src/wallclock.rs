@@ -8,10 +8,9 @@
 //! (opt-in, see below), barrier-wait time — and records it into a
 //! [`WallClockRegistry`] that is **excluded from digests, traces, and
 //! `metric` lines by construction**. Nothing in the deterministic plane
-//! ever reads a figure from this one; the only coupling allowed is an
-//! `if enabled` branch around a [`WallClockScope`], which cannot perturb
-//! results because scopes only *observe* time around work that runs
-//! identically either way.
+//! ever reads a figure from this one; a [`WallClockScope`] cannot
+//! perturb results because it only *observes* time around work that
+//! runs identically whether or not it is timed.
 //!
 //! Threading model: there are no global registries and no locks on the
 //! hot path. Each thread (fleet shard, scheduler worker) accumulates

@@ -20,20 +20,21 @@
 //! # crash-safe append-only history (mto-serve journal format; replays
 //! # on open, tolerates a torn tail)
 //! journal crawl.journal
-//! # observability: write the run's deterministic `mto-trace/v1` trace
-//! # to a file, and append the metrics summary to the report (`metrics`
-//! # is the one directive with no payload)
+//! # observability: every run collects the deterministic metrics/trace
+//! # plane, the estimator-quality plane, and the wall-clock plane; these
+//! # directives choose what is written or rendered. Write the
+//! # deterministic `mto-trace/v2` trace to a file, and append the metrics
+//! # summary to the report (`metrics` has no payload)
 //! trace run.trace
 //! metrics
-//! # estimator-quality plane (payload-free, like `metrics`): streaming
-//! # ESS / Geweke z per job and the cross-chain R-hat, folded at epoch
-//! # barriers. Pure observation — results and trace spans are
-//! # byte-identical with or without it. Jobs may then declare a
-//! # `quality ess=N` SLO via `ess=` for deterministic early stop.
+//! # add the estimator-quality `metric quality-*` lines (streaming ESS /
+//! # Geweke z per job and the cross-chain R-hat) to the metrics summary;
+//! # payload-free, like `metrics`. Jobs may declare an `ess=N` SLO for
+//! # deterministic early stop only in a request that carries it.
 //! quality
-//! # wall-clock plane: write a Prometheus text-exposition snapshot of
-//! # the run's metrics and wall-phase timings here. The snapshot is a
-//! # side channel — report bodies, traces, and `metric` lines stay
+//! # write a Prometheus text-exposition snapshot of the run's metrics,
+//! # quality, and wall-phase timings here. The snapshot is a side
+//! # channel — report bodies, traces, and `metric` lines stay
 //! # byte-identical whether or not `prom` is present.
 //! prom metrics.prom
 //! # fleet mode (mto-fleet): shard the jobs across W workers and gossip
@@ -163,7 +164,39 @@ impl NetworkSpec {
         if let Some(k) = fields.keys().next() {
             return Err(format!("unknown field {k:?} for network {name}"));
         }
+        spec.validate()?;
         Ok(spec)
+    }
+
+    /// Rejects parameters the generators cannot build: probabilities
+    /// outside [0, 1], cycles under 3 nodes, and Watts–Strogatz lattices
+    /// with an odd degree `k` or `k >= n`.
+    fn validate(&self) -> Result<(), String> {
+        let probability = |key: &str, p: f64| {
+            if (0.0..=1.0).contains(&p) {
+                Ok(())
+            } else {
+                Err(format!("{key}={p} is outside [0, 1]"))
+            }
+        };
+        match *self {
+            NetworkSpec::Cycle { n } if n < 3 => Err(format!("cycle needs n >= 3, got n={n}")),
+            NetworkSpec::Gnp { p, .. } => probability("p", p),
+            NetworkSpec::Sbm { p_in, p_out, .. } => {
+                probability("p-in", p_in)?;
+                probability("p-out", p_out)
+            }
+            NetworkSpec::WattsStrogatz { n, k, beta, .. } => {
+                if k % 2 != 0 {
+                    return Err(format!("ws lattice degree k={k} must be even"));
+                }
+                if k >= n {
+                    return Err(format!("ws lattice degree k={k} must be below n={n}"));
+                }
+                probability("beta", beta)
+            }
+            _ => Ok(()),
+        }
     }
 
     /// The directive payload [`NetworkSpec::parse`] accepts back.
@@ -244,7 +277,7 @@ pub struct ServeRequest {
     /// Scheduler knobs (`workers`, `quantum`, `budget`, `policy`
     /// directives).
     pub scheduler: SchedulerConfig,
-    /// Write the run's deterministic `mto-trace/v1` trace here (`trace`
+    /// Write the run's deterministic `mto-trace/v2` trace here (`trace`
     /// directive). Trace contents cover only the deterministic plane —
     /// virtual-time span/point events that are byte-identical across
     /// shard and worker counts.
@@ -252,69 +285,61 @@ pub struct ServeRequest {
     /// Append the metrics summary to the report (`metrics` directive,
     /// no payload).
     pub metrics: bool,
-    /// Enable the estimator-quality plane (`quality` directive, no
-    /// payload): per-job streaming ESS and windowed Geweke z, the
-    /// cross-chain R-hat, `metric quality-*` report lines, and per-epoch
-    /// quality trace points. Purely observational unless a job also
-    /// declares an `ess=` SLO (which requires this directive).
+    /// Render the estimator-quality plane's `metric quality-*` lines
+    /// (`quality` directive, no payload): per-job streaming ESS and
+    /// windowed Geweke z, and the cross-chain R-hat. The plane itself is
+    /// always collected; a job may declare an `ess=` SLO only in a
+    /// request that carries this directive.
     pub quality: bool,
     /// Write a Prometheus text-exposition snapshot here (`prom`
-    /// directive). Enables the wall-clock telemetry plane for the run;
-    /// the snapshot carries both the deterministic metrics and the
-    /// wall-phase timings, and is the *only* output that varies run to
-    /// run — reports, traces, and `metric` lines are unaffected.
+    /// directive). The snapshot carries the deterministic metrics, the
+    /// quality figures, and the wall-phase timings, and is the *only*
+    /// output that varies run to run — reports, traces, and `metric`
+    /// lines are unaffected.
     pub prom: Option<PathBuf>,
     /// The jobs, in file order.
     pub jobs: Vec<JobSpec>,
 }
 
 impl ServeRequest {
-    /// Parses a request file.
+    /// Parses a request file. Every rejection names the line of the
+    /// offending directive (line 0 only for what is missing altogether).
     pub fn parse(text: &str) -> Result<Self, ServeError> {
         let mut network = None;
         let mut provider = None;
-        let mut policy_seen = false;
+        let mut policy_line = None;
         let mut warm_start = None;
         let mut save_history = None;
         let mut journal = None;
         let mut shards = None;
         let mut epochs = None;
-        let mut workers_seen = false;
-        let mut quantum_seen = false;
+        let mut scheduler_knob_line = None;
         let mut scheduler = SchedulerConfig::default();
         let mut trace = None;
         let mut metrics = false;
         let mut quality = false;
         let mut prom = None;
         let mut jobs: Vec<JobSpec> = Vec::new();
+        let mut job_lines: Vec<usize> = Vec::new();
         let err = |line: usize, message: String| ServeError::Request { line, message };
 
-        for (idx, raw) in text.lines().enumerate() {
-            let lineno = idx + 1;
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
+        for (lineno, keyword, rest) in directives(text) {
             // `metrics` and `quality` are the flag directives: no
             // payload to parse.
-            if line == "metrics" {
-                if metrics {
-                    return Err(err(lineno, "duplicate metrics directive".into()));
+            if keyword == "metrics" || keyword == "quality" {
+                let flag = if keyword == "metrics" { &mut metrics } else { &mut quality };
+                if !rest.is_empty() {
+                    return Err(err(lineno, format!("{keyword} takes no payload")));
                 }
-                metrics = true;
+                if *flag {
+                    return Err(err(lineno, format!("duplicate {keyword} directive")));
+                }
+                *flag = true;
                 continue;
             }
-            if line == "quality" {
-                if quality {
-                    return Err(err(lineno, "duplicate quality directive".into()));
-                }
-                quality = true;
-                continue;
+            if rest.is_empty() {
+                return Err(err(lineno, format!("directive {keyword:?} has no payload")));
             }
-            let (keyword, rest) = match line.split_once(char::is_whitespace) {
-                Some((k, r)) => (k, r.trim()),
-                None => return Err(err(lineno, format!("directive {line:?} has no payload"))),
-            };
             match keyword {
                 "network" => {
                     if network.is_some() {
@@ -332,10 +357,10 @@ impl ServeRequest {
                         })?);
                 }
                 "policy" => {
-                    if policy_seen {
+                    if policy_line.is_some() {
                         return Err(err(lineno, "duplicate policy directive".into()));
                     }
-                    policy_seen = true;
+                    policy_line = Some(lineno);
                     scheduler.policy = SchedulePolicy::parse(rest).map_err(|m| err(lineno, m))?;
                 }
                 "trace" => {
@@ -350,9 +375,9 @@ impl ServeRequest {
                     }
                     prom = Some(PathBuf::from(rest));
                 }
-                "warm-start" => warm_start = Some(PathBuf::from(rest)),
+                "warm-start" => warm_start = Some((lineno, PathBuf::from(rest))),
                 "save-history" => save_history = Some(PathBuf::from(rest)),
-                "journal" => journal = Some(PathBuf::from(rest)),
+                "journal" => journal = Some((lineno, PathBuf::from(rest))),
                 "shards" => {
                     if shards.is_some() {
                         return Err(err(lineno, "duplicate shards directive".into()));
@@ -373,15 +398,15 @@ impl ServeRequest {
                     if n == 0 {
                         return Err(err(lineno, "epochs must be at least 1".into()));
                     }
-                    epochs = Some(n);
+                    epochs = Some((lineno, n));
                 }
                 "workers" => {
-                    workers_seen = true;
+                    scheduler_knob_line.get_or_insert(lineno);
                     scheduler.workers =
                         rest.parse().map_err(|e| err(lineno, format!("bad workers: {e}")))?;
                 }
                 "quantum" => {
-                    quantum_seen = true;
+                    scheduler_knob_line.get_or_insert(lineno);
                     scheduler.quantum =
                         rest.parse().map_err(|e| err(lineno, format!("bad quantum: {e}")))?;
                 }
@@ -395,6 +420,7 @@ impl ServeRequest {
                         return Err(err(lineno, format!("duplicate job id {:?}", job.id)));
                     }
                     jobs.push(job);
+                    job_lines.push(lineno);
                 }
                 other => return Err(err(lineno, format!("unknown directive {other:?}"))),
             }
@@ -404,65 +430,64 @@ impl ServeRequest {
         if jobs.is_empty() {
             return Err(err(0, "request names no jobs".into()));
         }
-        if epochs.is_some() && shards.is_none() {
-            return Err(err(0, "`epochs` requires a `shards` directive".into()));
+        if let (Some((line, _)), None) = (epochs, shards) {
+            return Err(err(line, "`epochs` requires a `shards` directive".into()));
         }
         // `budget` + `shards` is legal since the mto-qos ledger: the
         // fleet-wide budget is split per job at admission and rebalanced
         // at epoch barriers, so cuts no longer depend on shard placement.
-        if shards.is_some() && scheduler.policy == SchedulePolicy::BudgetProportional {
-            // The fleet's epoch planner implements round-robin and EDF;
-            // silently running the proportional policy as round-robin
-            // would drop a directive the user asked for.
-            return Err(err(
-                0,
-                "`policy budget-proportional` tunes the single-client scheduler and is \
-                 not implemented by the fleet planner; use `round-robin` or `edf` with \
-                 `shards`"
-                    .into(),
-            ));
+        if let (Some(_), Some(line)) = (shards, policy_line) {
+            if scheduler.policy == SchedulePolicy::BudgetProportional {
+                // The fleet's epoch planner implements round-robin and
+                // EDF; silently running the proportional policy as
+                // round-robin would drop a directive the user asked for.
+                return Err(err(
+                    line,
+                    "`policy budget-proportional` tunes the single-client scheduler and is \
+                     not implemented by the fleet planner; use `round-robin` or `edf` with \
+                     `shards`"
+                        .into(),
+                ));
+            }
         }
-        if shards.is_some() && (workers_seen || quantum_seen) {
+        if let (Some(_), Some(line)) = (shards, scheduler_knob_line) {
             // Fleet parallelism is `shards`, fleet stepping granularity
             // is `epochs` — silently dropping the scheduler knobs would
             // let a request claim tuning it never gets.
             return Err(err(
-                0,
+                line,
                 "`workers`/`quantum` tune the single-client scheduler and have no effect \
                  with `shards`; use `shards`/`epochs` instead"
                     .into(),
             ));
         }
-        if journal.is_some() && warm_start.is_some() {
+        if let (Some((journal_line, _)), Some((warm_line, _))) = (&journal, &warm_start) {
             return Err(err(
-                0,
+                *journal_line.max(warm_line),
                 "`journal` and `warm-start` are mutually exclusive (one source of prior \
                  history per run)"
                     .into(),
             ));
         }
-        if !quality {
-            if let Some(job) = jobs.iter().find(|j| j.ess.is_some()) {
-                // An `ess=` SLO is judged against the quality plane's
-                // streaming ESS; without the plane the target could
-                // never latch and the job would silently run its full
-                // budget — reject instead.
+        let num_nodes = network.num_nodes();
+        for (job, &line) in jobs.iter().zip(&job_lines) {
+            if job.ess.is_some() && !quality {
+                // An `ess=` SLO must be visible in the report that judges
+                // it: without the `quality` directive its verdict and
+                // figures would never be rendered — reject instead.
                 return Err(err(
-                    0,
+                    line,
                     format!(
                         "job {:?} declares an ess= SLO but the request has no `quality` \
-                         directive (the quality plane computes the ESS the SLO is judged \
+                         directive (the quality lines report the ESS the SLO is judged \
                          against)",
                         job.id
                     ),
                 ));
             }
-        }
-        let num_nodes = network.num_nodes();
-        for job in &jobs {
             if job.start.index() >= num_nodes {
                 return Err(err(
-                    0,
+                    line,
                     format!(
                         "job {:?} starts at {} but the network has {num_nodes} nodes",
                         job.id, job.start,
@@ -473,11 +498,11 @@ impl ServeRequest {
         Ok(ServeRequest {
             network,
             provider,
-            warm_start,
+            warm_start: warm_start.map(|(_, path)| path),
             save_history,
-            journal,
+            journal: journal.map(|(_, path)| path),
             shards,
-            epochs,
+            epochs: epochs.map(|(_, n)| n),
             scheduler,
             trace,
             metrics,
@@ -486,6 +511,26 @@ impl ServeRequest {
             jobs,
         })
     }
+}
+
+/// The directives of a request file, `(line number, keyword, payload)`,
+/// skipping blank lines and `#` comments. The payload is empty for a
+/// bare keyword.
+fn directives(text: &str) -> impl Iterator<Item = (usize, &str, &str)> {
+    text.lines().enumerate().filter_map(|(idx, raw)| {
+        let line = raw.trim();
+        if line.is_empty() || line.starts_with('#') {
+            return None;
+        }
+        let (keyword, rest) = line.split_once(char::is_whitespace).unwrap_or((line, ""));
+        Some((idx + 1, keyword, rest.trim()))
+    })
+}
+
+/// The line of the first `keyword` directive in a request file — how
+/// callers that reject a parsed request's directive name its line.
+pub fn directive_line(text: &str, keyword: &str) -> Option<usize> {
+    directives(text).find(|&(_, k, _)| k == keyword).map(|(line, _, _)| line)
 }
 
 #[cfg(test)]
@@ -680,24 +725,71 @@ job id=b algo=srw start=3 steps=400 seed=9
         }
     }
 
+    /// The `line N` a rejected request names.
+    fn rejected_line(text: &str) -> usize {
+        match ServeRequest::parse(text).unwrap_err() {
+            ServeError::Request { line, .. } => line,
+            other => panic!("{text:?} → {other}"),
+        }
+    }
+
+    #[test]
+    fn network_parameters_the_generators_cannot_build_are_rejected() {
+        for (network, needle) in [
+            ("gnp n=50 p=1.5 seed=1", "p=1.5"),
+            ("gnp n=50 p=-0.1 seed=1", "p=-0.1"),
+            ("gnp n=50 p=NaN seed=1", "p=NaN"),
+            ("cycle n=2", "n >= 3"),
+            ("ws n=10 k=20 beta=0.1 seed=1", "below n=10"),
+            ("ws n=10 k=10 beta=0.1 seed=1", "below n=10"),
+            ("ws n=10 k=3 beta=0.1 seed=1", "even"),
+            ("ws n=10 k=4 beta=1.5 seed=1", "beta=1.5"),
+            ("sbm blocks=2 block-size=5 p-in=2 p-out=0.1 seed=1", "p-in=2"),
+            ("sbm blocks=2 block-size=5 p-in=0.5 p-out=-1 seed=1", "p-out=-1"),
+        ] {
+            assert!(NetworkSpec::parse(network).unwrap_err().contains(needle), "{network}");
+            let text = format!("# probe\nnetwork {network}\njob id=a algo=srw start=0 steps=1");
+            assert_eq!(rejected_line(&text), 2, "{network}");
+        }
+        for edge in
+            ["gnp n=5 p=0 seed=1", "gnp n=5 p=1 seed=1", "cycle n=3", "ws n=5 k=4 beta=1 seed=1"]
+        {
+            NetworkSpec::parse(edge).unwrap().build();
+        }
+    }
+
     #[test]
     fn request_file_rejections_carry_line_numbers() {
-        for (text, needle) in [
-            ("job id=a algo=mto start=0 steps=1", "missing `network`"),
-            ("network barbell\n", "no jobs"),
-            ("network barbell\nnetwork barbell\njob id=a algo=mto start=0 steps=1", "duplicate"),
-            ("network barbell\nfrobnicate 3\njob id=a algo=mto start=0 steps=1", "frobnicate"),
+        let job = "job id=a algo=mto start=0 steps=1";
+        for (text, needle, line) in [
+            (job.to_string(), "missing `network`", 0),
+            ("network barbell\n".to_string(), "no jobs", 0),
+            (format!("network barbell\nnetwork barbell\n{job}"), "duplicate", 2),
+            (format!("network barbell\nfrobnicate 3\n{job}"), "frobnicate", 2),
             (
-                "network barbell\njob id=a algo=mto start=0 steps=1\n\
-                 job id=a algo=srw start=0 steps=1",
+                format!("network barbell\n{job}\njob id=a algo=srw start=0 steps=1"),
                 "duplicate job id",
+                3,
             ),
-            ("network barbell\njob id=a algo=mto start=999 steps=1", "999"),
-            ("network nope\njob id=a algo=mto start=0 steps=1", "unknown network"),
+            (format!("network barbell\n{job}\njob id=b algo=srw start=999 steps=1"), "999", 3),
+            (format!("network nope\n{job}"), "unknown network", 1),
+            (format!("network barbell\n{job}\njob id=b algo=srw start=0 steps=9 ess=4"), "ess=", 3),
+            (format!("network barbell\nshards 2\n\nworkers 8\n{job}"), "no effect", 4),
+            (format!("network barbell\nquantum 16\nshards 2\n{job}"), "no effect", 2),
+            (format!("network barbell\njournal a.j\n{job}\nwarm-start b.hist"), "exclusive", 4),
+            (format!("network barbell\nwarm-start b.hist\njournal a.j\n{job}"), "exclusive", 3),
+            (format!("network barbell\n{job}\nepochs 3"), "requires", 3),
+            (format!("network barbell\npolicy budget-proportional\nshards 2\n{job}"), "fleet", 2),
         ] {
-            let e = ServeRequest::parse(text).unwrap_err();
+            let e = ServeRequest::parse(&text).unwrap_err();
             assert!(e.to_string().contains(needle), "{text:?} → {e}");
+            assert_eq!(rejected_line(&text), line, "{text:?} → {e}");
         }
+        let text =
+            "# fleet\nnetwork barbell\nshards 2\nepochs 4\njob id=a algo=mto start=0 steps=1";
+        assert_eq!(directive_line(text, "shards"), Some(3));
+        assert_eq!(directive_line(text, "epochs"), Some(4));
+        assert_eq!(directive_line(text, "journal"), None);
     }
 
     #[test]

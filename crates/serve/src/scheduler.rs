@@ -195,6 +195,10 @@ pub struct ServeReport {
     pub virtual_secs: Option<f64>,
     /// Sum of the rewiring counters across all rewiring jobs.
     pub aggregate_stats: RewireStats,
+    /// Wall-clock telemetry: each worker's time inside
+    /// `session.advance`, as `worker-service` keyed by worker index.
+    /// Outside the determinism contract — it varies run to run.
+    pub wall: WallClockRegistry,
 }
 
 /// Runs many [`SamplerSession`]s concurrently over one shared client.
@@ -257,23 +261,12 @@ impl<I: SocialNetworkInterface + Send + Sync> JobScheduler<I> {
     }
 
     /// Runs `jobs` to completion (or to the global query budget) and
-    /// collects their outcomes in submission order.
-    pub fn run(&self, jobs: Vec<JobSpec>) -> Result<ServeReport> {
-        self.run_instrumented(jobs, None)
-    }
-
-    /// [`JobScheduler::run`] with the wall-clock telemetry plane: when
-    /// `wall` is given, each worker times its `session.advance` calls
-    /// and the totals land in the registry as `worker-service` keyed by
-    /// worker index. Results are identical to an uninstrumented run —
-    /// scopes only observe time around work that runs either way — and
+    /// collects their outcomes in submission order. Each worker times
+    /// its `session.advance` calls into [`ServeReport::wall`]; the
+    /// scopes only observe time around work that runs either way, and
     /// workers accumulate locally, merging once at exit, so the hot loop
     /// takes no extra locks.
-    pub fn run_instrumented(
-        &self,
-        jobs: Vec<JobSpec>,
-        wall: Option<&mut WallClockRegistry>,
-    ) -> Result<ServeReport> {
+    pub fn run(&self, jobs: Vec<JobSpec>) -> Result<ServeReport> {
         let total = jobs.len();
         // Saturating: step budgets are user input and may sum past usize.
         let total_budget: usize =
@@ -308,8 +301,7 @@ impl<I: SocialNetworkInterface + Send + Sync> JobScheduler<I> {
         let budget = self.config.global_query_budget;
         // Wall plane: workers accumulate into private `WallStats` and
         // fold them in here once, after their loop exits.
-        let collected: Option<Mutex<WallClockRegistry>> =
-            wall.as_ref().map(|_| Mutex::new(WallClockRegistry::new()));
+        let collected = Mutex::new(WallClockRegistry::new());
 
         std::thread::scope(|scope| {
             let (queue, done, first_error, finished, collected) =
@@ -339,11 +331,9 @@ impl<I: SocialNetworkInterface + Send + Sync> JobScheduler<I> {
                             };
                         let over_budget = budget.is_some_and(|b| self.client.unique_queries() >= b);
                         if !over_budget {
-                            let timer = collected.is_some().then(WallClockScope::start);
+                            let timer = WallClockScope::start();
                             let advanced = session.advance(quantum);
-                            if let Some(timer) = timer {
-                                service.absorb(timer.stop());
-                            }
+                            service.absorb(timer.stop());
                             if let Err(e) = advanced {
                                 *first_error.lock() = Some(e);
                                 finished.fetch_add(1, Ordering::Release);
@@ -368,19 +358,14 @@ impl<I: SocialNetworkInterface + Send + Sync> JobScheduler<I> {
                             });
                         }
                     }
-                    if let Some(sink) = collected {
-                        if service.count > 0 {
-                            let key = WallKey::phase("worker-service").on_shard(worker as u64);
-                            sink.lock().record(key, service);
-                        }
+                    if service.count > 0 {
+                        let key = WallKey::phase("worker-service").on_shard(worker as u64);
+                        collected.lock().record(key, service);
                     }
                 });
             }
         });
 
-        if let (Some(wall), Some(collected)) = (wall, collected) {
-            wall.merge(&collected.into_inner());
-        }
         if let Some(e) = first_error.lock().take() {
             return Err(e);
         }
@@ -398,6 +383,7 @@ impl<I: SocialNetworkInterface + Send + Sync> JobScheduler<I> {
             total_unique_queries: self.client.unique_queries(),
             virtual_secs: self.clock.as_ref().map(|c| c.now()),
             aggregate_stats,
+            wall: collected.into_inner(),
         })
     }
 }
@@ -645,23 +631,22 @@ mod tests {
 
     #[test]
     fn wall_instrumented_runs_reproduce_plain_results() {
-        let run = |wall: Option<&mut WallClockRegistry>| {
+        let run = || {
             let scheduler = JobScheduler::new(
                 OsnService::with_defaults(&paper_barbell()),
                 SchedulerConfig { workers: 2, quantum: 16, ..Default::default() },
             );
-            scheduler.run_instrumented(mixed_jobs(), wall).unwrap()
+            scheduler.run(mixed_jobs()).unwrap()
         };
-        let plain = run(None);
-        let mut wall = WallClockRegistry::new();
-        let timed = run(Some(&mut wall));
-        assert_eq!(plain.total_unique_queries, timed.total_unique_queries);
-        for (a, b) in plain.outcomes.iter().zip(&timed.outcomes) {
-            assert_eq!(a.history, b.history, "wall plane perturbed job {}", a.id);
-            assert_eq!(a.stats, b.stats);
-            assert_eq!((a.steps, a.completed), (b.steps, b.completed));
+        let (a, b) = (run(), run());
+        assert_eq!(a.total_unique_queries, b.total_unique_queries);
+        for (x, y) in a.outcomes.iter().zip(&b.outcomes) {
+            assert_eq!(x.history, y.history, "wall plane perturbed job {}", x.id);
+            assert_eq!(x.stats, y.stats);
+            assert_eq!((x.steps, x.completed), (y.steps, y.completed));
         }
-        assert!(!wall.is_empty(), "instrumented workers must report service time");
+        let wall = &a.wall;
+        assert!(!wall.is_empty(), "workers must report service time");
         let total = wall.total();
         assert!(total.count > 0 && total.nanos > 0, "{total:?}");
         for (key, _) in wall.iter() {

@@ -76,9 +76,10 @@ pub struct JobSpec {
     /// prioritizes quanta by them. `None` means best-effort.
     pub deadline: Option<f64>,
     /// Optional quality SLO: the target effective sample size (`ess=`
-    /// field). Requires the request's `quality` directive — the quality
-    /// plane computes the streaming ESS the SLO is judged against, and
-    /// the fleet's epoch planner stops granting quanta once a job's ESS
+    /// field). A request file may declare it only together with the
+    /// `quality` directive, which renders the figures the SLO is judged
+    /// on; the quality plane computes the streaming ESS, and the fleet's
+    /// epoch planner stops granting quanta once a job's ESS
     /// reaches the target (deterministic early stop; unspent budget goes
     /// back to the ledger). `None` means run the full step budget.
     pub ess: Option<u64>,
